@@ -42,22 +42,18 @@ from .harness import (
     run_with_queue,
     run_without_queue,
 )
-from .ingest import RawRecord, parse_jsonl, partition_conversations, replay
+from .ingest import RawRecord, parse_jsonl, partition_conversations
 from .regulator import (
-    ActivityState,
     AdmissionDecision,
     Engine,
     QueueEntry,
     QueueStatus,
     ThresholdConfig,
-    activity_update,
-    effective_thresholds,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityState",
     "AdmissionDecision",
     "ClassifiedComment",
     "ComparisonReport",
@@ -76,13 +72,11 @@ __all__ = [
     "SimulationConfig",
     "SyntheticSpec",
     "ThresholdConfig",
-    "activity_update",
     "board",
     "build_graph",
     "classify",
     "classify_comment",
     "compare",
-    "effective_thresholds",
     "generate_synthetic",
     "hypothetical_board",
     "load_emoji_lexicon",
@@ -92,7 +86,6 @@ __all__ = [
     "parse_jsonl",
     "partition_conversations",
     "prune_influential_toxic",
-    "replay",
     "run_paired",
     "run_with_queue",
     "run_without_queue",

@@ -20,7 +20,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,11 +197,6 @@ class ExternalScoreClient:
         return score
 
 
-def score_toxicity(provider, text: str) -> float:
-    """Score one text with whichever provider is configured."""
-    return provider.score(text)
-
-
 @dataclass(frozen=True)
 class PolicyOutcome:
     detected_count: int
@@ -225,53 +220,6 @@ class PolicyComparison:
         }
 
 
-def _policy_outcome(
-    graph: ConversationGraph,
-    toxicity: Mapping[str, float],
-    influence_floor: float,
-    toxicity_floor: float,
-    weights: InfluenceWeights,
-) -> PolicyOutcome:
-    result = congraph.prune_influential_toxic(
-        graph, toxicity, influence_floor, toxicity_floor, weights
-    )
-    n = len(graph)
-    return PolicyOutcome(
-        detected_count=len(result.selected_ids),
-        detected_fraction=len(result.selected_ids) / n,
-        removed_count=result.removed_count,
-        removed_fraction=result.removed_count / n,
-        toxicity_reduction=result.toxicity_reduction,
-    )
-
-
-def compare_policies(
-    graph: ConversationGraph,
-    provider,
-    *,
-    weights: InfluenceWeights = InfluenceWeights(),
-    influence_percentile: float = DEFAULT_INFLUENCE_PERCENTILE,
-    toxicity_floor: float = DEFAULT_TOXICITY_FLOOR,
-    text_only_floor: float = DEFAULT_TEXT_ONLY_FLOOR,
-) -> PolicyComparison:
-    """Compare two pruning policies on one conversation graph.
-
-    Policy A selects nodes by influence (at or above the given percentile of
-    the graph's influence scores) AND toxicity; policy B is text-only, using
-    toxicity alone at a stricter floor since it cannot see engagement.
-    """
-    toxicity = {node_id: provider.score(graph.comment(node_id).text) for node_id in graph.ids()}
-    influences = np.array([congraph.node_influence(graph, i, weights) for i in graph.ids()])
-    influence_floor = float(np.percentile(influences, influence_percentile))
-    policy_a = _policy_outcome(graph, toxicity, influence_floor, toxicity_floor, weights)
-    policy_b = _policy_outcome(graph, toxicity, 0.0, text_only_floor, weights)
-    return PolicyComparison(
-        node_count=len(graph),
-        influence_and_toxicity=policy_a,
-        toxicity_only=policy_b,
-    )
-
-
 def compare_policies_corpus(
     graphs: Sequence[ConversationGraph],
     provider,
@@ -281,8 +229,11 @@ def compare_policies_corpus(
     toxicity_floor: float = DEFAULT_TOXICITY_FLOOR,
     text_only_floor: float = DEFAULT_TEXT_ONLY_FLOOR,
 ) -> PolicyComparison:
-    """Pool per-conversation comparisons over a corpus.
+    """Compare two pruning policies, pooled over a corpus of graphs.
 
+    Policy A selects nodes by influence (at or above the given percentile of
+    each graph's influence scores) AND toxicity; policy B is text-only, using
+    toxicity alone at a stricter floor since it cannot see engagement.
     Detected/removed fractions are pooled over all nodes; the reduction is
     pooled removed toxic mass over pooled total toxic mass.
     """
@@ -328,26 +279,3 @@ def compare_policies_corpus(
         influence_and_toxicity=outcome("a"),
         toxicity_only=outcome("b"),
     )
-
-
-def make_provider(
-    kind: str,
-    *,
-    lexicon: Lexicon | None = None,
-    endpoint: str | None = None,
-    key_env: str | None = None,
-    cache_path: str | Path | None = None,
-    rate_per_sec: float = 1.0,
-):
-    """Build a provider from config. The external kind requires an endpoint."""
-    if kind == "offline_proxy":
-        if lexicon is None:
-            raise ValueError("offline proxy requires a lexicon")
-        return OfflineToxicityProxy(lexicon)
-    if kind == "external_http":
-        if not endpoint:
-            raise ProviderError("external provider is disabled without an endpoint")
-        return ExternalScoreClient(
-            endpoint, key_env=key_env, cache_path=cache_path, rate_per_sec=rate_per_sec
-        )
-    raise ValueError(f"unknown provider kind {kind!r}")

@@ -61,16 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--queue", choices=("on", "off"), required=True)
     p_sim.add_argument("--config", default=None, help="key=value config file")
     p_sim.add_argument("--out", default="runs", help="run directory root")
-    p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.add_argument("--format", choices=("json", "csv", "both"), default="both")
     add_lexicon_flags(p_sim)
 
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("run_a")
     p_cmp.add_argument("run_b")
     p_cmp.add_argument("--out", default="comparison")
-    p_cmp.add_argument("--format", choices=("json", "csv", "both"), default="both")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--spec", default=None, help="key=value spec file")
@@ -135,17 +132,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = harness.parse_config_file(args.config) if args.config else SimulationConfig()
-    if args.seed is not None:
-        config = SimulationConfig(
-            window_size=config.window_size,
-            weights=config.weights,
-            thresholds=config.thresholds,
-            kappa=config.kappa,
-            rho=config.rho,
-            activity_cutoff=config.activity_cutoff,
-            idle_timeout=config.idle_timeout,
-            seed=args.seed,
-        )
     lexicon, emoji_lexicon = _load_lexicons(args)
     result = ingest.parse_jsonl(args.input)
     run = harness.run_with_queue if args.queue == "on" else harness.run_without_queue
@@ -157,7 +143,7 @@ def _cmd_simulate(args) -> int:
         jobs=args.jobs,
         log_decisions=True,
     )
-    run_dir = harness.write_run_dir(report, args.out, args.format)
+    run_dir = harness.write_run_dir(report, args.out)
     print(f"run_dir={run_dir}")
     print(
         f"total={report.total} admitted={report.admitted} "
@@ -171,59 +157,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _report_from_run_dir(path: str) -> harness.RunReport:
-    report_path = Path(path) / "report.json"
-    try:
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ComparisonError(f"cannot read {report_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ComparisonError(f"corrupt report {report_path}: {exc}") from exc
-    import numpy as np
-
-    series = payload.get("series", [])
-    cumulative = np.zeros((len(series), 8))
-    from .emolex import EMOTION_NAMES
-
-    for i, row in enumerate(series):
-        cumulative[i] = [row["cumulative"][name] for name in EMOTION_NAMES]
-    board = congraph.EmotionBoard(
-        percentages=tuple(payload["final_board"][name] for name in EMOTION_NAMES),
-        window_size=0,
-        contributing=0,
-    )
-    return harness.RunReport(
-        queue_enabled=payload["queue_enabled"],
-        total=payload["total"],
-        admitted=payload["admitted"],
-        held_count=payload["held_count"],
-        suspended_count=payload["suspended_count"],
-        held_fraction=payload["held_fraction"],
-        suspended_fraction=payload["suspended_fraction"],
-        hold_durations=payload["hold_durations"],
-        mean_hold=payload["mean_hold"],
-        median_hold=payload["median_hold"],
-        final_board=board,
-        series_ids=[row["comment_id"] for row in series],
-        series_tags=[row["stream_index"] for row in series],
-        series_times=[0.0] * len(series),
-        series_revised=[row["revised"] for row in series],
-        cumulative=cumulative,
-        anger_fear_spread=payload["anger_fear_spread"],
-        stream_hash=payload["stream_hash"],
-        config_hash=payload["config_hash"],
-        conversations=payload["conversations"],
-        orphans=payload["orphans"],
-    )
-
-
 def _cmd_compare(args) -> int:
-    report_a = _report_from_run_dir(args.run_a)
-    report_b = _report_from_run_dir(args.run_b)
+    report_a = harness.RunReport.read(args.run_a)
+    report_b = harness.RunReport.read(args.run_b)
     if report_a.queue_enabled and not report_b.queue_enabled:
         report_a, report_b = report_b, report_a
     comparison = harness.compare(report_a, report_b)
-    out = harness.write_comparison_dir(comparison, args.out, args.format)
+    out = harness.write_comparison_dir(comparison, args.out)
     print(f"comparison_dir={out}")
     print(f"reduction_pct={comparison.reduction_pct:.6f}")
     print(
@@ -236,23 +176,7 @@ def _cmd_compare(args) -> int:
 def _cmd_synth(args) -> int:
     spec = harness.parse_spec_file(args.spec) if args.spec else harness.SyntheticSpec()
     records = harness.generate_synthetic(spec, args.seed)
-    if args.out:
-        harness.write_jsonl(records, args.out)
-    else:
-        for record in records:
-            sys.stdout.write(
-                json.dumps(
-                    {
-                        "id": record.id,
-                        "parent_id": record.parent_id,
-                        "author": record.author,
-                        "created_at": record.created_at,
-                        "text": record.text,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    harness.write_jsonl(records, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -311,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         "prune-eval": _cmd_prune_eval,
     }
     try:
+        if getattr(args, "kappa", 1.0) <= 0:
+            raise ConfigError(f"--kappa must be positive, got {args.kappa}")
         return handlers[args.command](args)
     except EmptyInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,9 @@ import json
 import logging
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -77,7 +78,16 @@ class SimulationConfig:
     rho: float = DEFAULT_RHO
     activity_cutoff: float = DEFAULT_ACTIVITY_CUTOFF
     idle_timeout: float = 3600.0
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.window_size < 1:
+            raise ValueError("window_size must be >= 1")
+        if self.kappa <= 0:
+            raise ValueError("kappa must be positive")
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError("rho must lie in (0, 1]")
+        if self.idle_timeout < 0:
+            raise ValueError("idle_timeout must be >= 0")
 
     def as_dict(self) -> dict:
         return {
@@ -86,7 +96,6 @@ class SimulationConfig:
             "rho": self.rho,
             "activity_cutoff": self.activity_cutoff,
             "idle_timeout": self.idle_timeout,
-            "seed": self.seed,
             "weights": {
                 "intensity": self.weights.intensity,
                 "pagerank": self.weights.pagerank,
@@ -128,7 +137,7 @@ _CONFIG_FLOAT_KEYS = {
     "threshold_floor",
     "threshold_ceiling",
 }
-_CONFIG_INT_KEYS = {"window_size", "decay_scale", "seed"}
+_CONFIG_INT_KEYS = {"window_size", "decay_scale"}
 
 
 def _parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -196,7 +205,6 @@ def parse_config_file(path: str | Path) -> SimulationConfig:
             rho=values.get("rho", DEFAULT_RHO),
             activity_cutoff=values.get("activity_cutoff", DEFAULT_ACTIVITY_CUTOFF),
             idle_timeout=values.get("idle_timeout", 3600.0),
-            seed=int(values.get("seed", 0)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -473,22 +481,26 @@ def generate_synthetic(
     return records
 
 
-def write_jsonl(records: Iterable[RawRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for r in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "parent_id": r.parent_id,
-                        "author": r.author,
-                        "created_at": r.created_at,
-                        "text": r.text,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+def write_jsonl(records: Iterable[RawRecord], path: str | Path | TextIO) -> None:
+    """Write one JSON line per record to a file path or an open text stream."""
+    if isinstance(path, (str, Path)):
+        with Path(path).open("w", encoding="utf-8") as handle:
+            write_jsonl(records, handle)
+        return
+    for r in records:
+        path.write(
+            json.dumps(
+                {
+                    "id": r.id,
+                    "parent_id": r.parent_id,
+                    "author": r.author,
+                    "created_at": r.created_at,
+                    "text": r.text,
+                },
+                sort_keys=True,
             )
+            + "\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +530,6 @@ class RunReport:
     final_board: EmotionBoard
     series_ids: list[str]
     series_tags: list[int]
-    series_times: list[float]
     series_revised: list[bool]
     cumulative: np.ndarray
     anger_fear_spread: float
@@ -529,19 +540,8 @@ class RunReport:
     decision_log: list[dict] | None = None
 
     def to_dict(self) -> dict:
-        series = []
-        for i, cid in enumerate(self.series_ids):
-            row = {
-                "event_seq": i,
-                "stream_index": self.series_tags[i],
-                "comment_id": cid,
-                "revised": self.series_revised[i],
-                "cumulative": {
-                    name: round(float(self.cumulative[i, j]), 6)
-                    for j, name in enumerate(EMOTION_NAMES)
-                },
-            }
-            series.append(row)
+        """The summary written to report.json; the per-admission series is
+        written only to emotion_timeseries.csv."""
         return {
             "queue_enabled": self.queue_enabled,
             "total": self.total,
@@ -559,8 +559,47 @@ class RunReport:
             "config_hash": self.config_hash,
             "conversations": self.conversations,
             "orphans": self.orphans,
-            "series": series,
         }
+
+    @classmethod
+    def read(cls, run_dir: str | Path) -> "RunReport":
+        """Load a run directory's report.json as a summary-only report (empty series)."""
+        report_path = Path(run_dir) / "report.json"
+        try:
+            payload = json.loads(report_path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ComparisonError(f"cannot read {report_path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ComparisonError(f"corrupt report {report_path}: {exc}") from exc
+        try:
+            return cls(
+                queue_enabled=payload["queue_enabled"],
+                total=payload["total"],
+                admitted=payload["admitted"],
+                held_count=payload["held_count"],
+                suspended_count=payload["suspended_count"],
+                held_fraction=payload["held_fraction"],
+                suspended_fraction=payload["suspended_fraction"],
+                hold_durations=payload["hold_durations"],
+                mean_hold=payload["mean_hold"],
+                median_hold=payload["median_hold"],
+                final_board=EmotionBoard(
+                    percentages=tuple(payload["final_board"][name] for name in EMOTION_NAMES),
+                    window_size=0,
+                    contributing=0,
+                ),
+                series_ids=[],
+                series_tags=[],
+                series_revised=[],
+                cumulative=np.zeros((0, 8)),
+                anger_fear_spread=payload["anger_fear_spread"],
+                stream_hash=payload["stream_hash"],
+                config_hash=payload["config_hash"],
+                conversations=payload["conversations"],
+                orphans=payload["orphans"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ComparisonError(f"corrupt report {report_path}: {exc!r}") from exc
 
 
 @dataclass
@@ -639,12 +678,10 @@ class _ConvOutcome:
 def _simulate_conversation(
     records: list[RawRecord],
     tags: list[int],
+    classified: list[ClassifiedComment],
     config: SimulationConfig,
     queue_enabled: bool,
-    lexicon: Lexicon,
-    emoji_lexicon: EmojiLexicon,
     log_decisions: bool,
-    classified: list[ClassifiedComment] | None = None,
 ) -> _ConvOutcome:
     """Replay one conversation through an engine.
 
@@ -667,14 +704,6 @@ def _simulate_conversation(
         queue_enabled=queue_enabled,
         log_decisions=log_decisions,
     )
-    if classified is None:
-        classified = [
-            classify_comment(
-                r.id, r.author, r.parent_id, r.created_at, r.text,
-                lexicon, emoji_lexicon, config.kappa,
-            )
-            for r in records
-        ]
 
     orphans = 0
     buffered: list[tuple[ClassifiedComment, int]] = []
@@ -736,48 +765,27 @@ def _simulate_conversation(
     )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(config, lexicon, emoji_lexicon, log_decisions) -> None:
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["lexicon"] = lexicon
-    _WORKER_STATE["emoji"] = emoji_lexicon
-    _WORKER_STATE["log"] = log_decisions
-
-
-def _worker_single(task) -> _ConvOutcome:
-    records, tags, queue_enabled = task
-    return _simulate_conversation(
-        records,
-        tags,
-        _WORKER_STATE["config"],
-        queue_enabled,
-        _WORKER_STATE["lexicon"],
-        _WORKER_STATE["emoji"],
-        _WORKER_STATE["log"],
-    )
-
-
-def _worker_paired(task) -> tuple[_ConvOutcome, _ConvOutcome]:
+def _replay_conversation(
+    config: SimulationConfig,
+    modes: tuple[bool, ...],
+    lexicon: Lexicon,
+    emoji_lexicon: EmojiLexicon,
+    log_decisions: bool,
+    task: tuple[list[RawRecord], list[int]],
+) -> list[_ConvOutcome]:
+    """Classify one conversation once, then replay it in each queue mode."""
     records, tags = task
-    config = _WORKER_STATE["config"]
-    lexicon = _WORKER_STATE["lexicon"]
-    emoji = _WORKER_STATE["emoji"]
-    log = _WORKER_STATE["log"]
     classified = [
         classify_comment(
-            r.id, r.author, r.parent_id, r.created_at, r.text, lexicon, emoji, config.kappa
+            r.id, r.author, r.parent_id, r.created_at, r.text,
+            lexicon, emoji_lexicon, config.kappa,
         )
         for r in records
     ]
-    no_q = _simulate_conversation(
-        records, tags, config, False, lexicon, emoji, log, classified
-    )
-    with_q = _simulate_conversation(
-        records, tags, config, True, lexicon, emoji, log, classified
-    )
-    return no_q, with_q
+    return [
+        _simulate_conversation(records, tags, classified, config, queue_enabled, log_decisions)
+        for queue_enabled in modes
+    ]
 
 
 def _assemble(
@@ -790,12 +798,12 @@ def _assemble(
     rows = []
     for conv_idx, outcome in enumerate(outcomes):
         for row in outcome.rows:
-            rows.append((row.tag, conv_idx, row.seq, row.time, row.comment_id, row.mass, row.revised))
+            rows.append((row.tag, conv_idx, row.seq, row.comment_id, row.mass, row.revised))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     n_rows = len(rows)
     masses = np.zeros((n_rows, 8))
     for i, row in enumerate(rows):
-        masses[i] = row[5]
+        masses[i] = row[4]
     cumulative = np.cumsum(masses, axis=0)
     total = sum(o.total for o in outcomes)
     admitted = sum(o.admitted for o in outcomes)
@@ -834,10 +842,9 @@ def _assemble(
         mean_hold=float(np.mean(durations)) if durations else 0.0,
         median_hold=float(np.median(durations)) if durations else 0.0,
         final_board=final_board,
-        series_ids=[r[4] for r in rows],
+        series_ids=[r[3] for r in rows],
         series_tags=[r[0] for r in rows],
-        series_times=[r[3] for r in rows],
-        series_revised=[r[6] for r in rows],
+        series_revised=[r[5] for r in rows],
         cumulative=cumulative,
         anger_fear_spread=spread,
         stream_hash=shash,
@@ -848,49 +855,45 @@ def _assemble(
     )
 
 
-def _prepare_tasks(records: Sequence[RawRecord]) -> list[tuple[list[RawRecord], list[int]]]:
-    ordered = sorted(records, key=lambda r: (r.created_at, r.id))
-    tag_of = {r.id: i for i, r in enumerate(ordered)}
-    groups = ingest.partition_conversations(list(records))
-    return [(group, [tag_of[r.id] for r in group]) for group in groups]
-
-
-def _run(
+def _replay(
     records: Sequence[RawRecord],
     config: SimulationConfig,
-    queue_enabled: bool,
+    modes: tuple[bool, ...],
     lexicon: Lexicon | None,
     emoji_lexicon: EmojiLexicon | None,
     jobs: int,
     log_decisions: bool,
-) -> RunReport:
+) -> list[RunReport]:
+    """Replay the stream once per conversation and report each queue mode.
+
+    Each conversation is classified once and replayed in every requested
+    mode (``True`` = with queue), serially or in a fork pool; the reports
+    merge conversations in stream order, so ``jobs`` never changes them.
+    """
     lexicon = lexicon if lexicon is not None else _default_lexicon()
     emoji_lexicon = (
         emoji_lexicon if emoji_lexicon is not None else _default_emoji_lexicon()
     )
-    tasks = _prepare_tasks(records)
+    ordered = sorted(records, key=lambda r: (r.created_at, r.id))
+    tag_of = {r.id: i for i, r in enumerate(ordered)}
+    groups = ingest.partition_conversations(list(records))
+    tasks = [(group, [tag_of[r.id] for r in group]) for group in groups]
+    replay_one = partial(
+        _replay_conversation, config, modes, lexicon, emoji_lexicon, log_decisions
+    )
     if jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            jobs,
-            initializer=_init_worker,
-            initargs=(config, lexicon, emoji_lexicon, log_decisions),
-        ) as pool:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
             outcomes = pool.map(
-                _worker_single,
-                [(g, t, queue_enabled) for g, t in tasks],
-                chunksize=max(1, len(tasks) // (jobs * 4)),
+                replay_one, tasks, chunksize=max(1, len(tasks) // (jobs * 4))
             )
     else:
-        outcomes = [
-            _simulate_conversation(
-                g, t, config, queue_enabled, lexicon, emoji_lexicon, log_decisions
-            )
-            for g, t in tasks
-        ]
-    return _assemble(
-        outcomes, queue_enabled, stream_hash(records), config.config_hash(), config
-    )
+        outcomes = [replay_one(task) for task in tasks]
+    shash = stream_hash(records)
+    chash = config.config_hash()
+    return [
+        _assemble([o[i] for o in outcomes], queue_enabled, shash, chash, config)
+        for i, queue_enabled in enumerate(modes)
+    ]
 
 
 def run_without_queue(
@@ -903,7 +906,7 @@ def run_without_queue(
     log_decisions: bool = False,
 ) -> RunReport:
     """Replay with every comment admitted immediately (held_count = 0)."""
-    return _run(records, config, False, lexicon, emoji_lexicon, jobs, log_decisions)
+    return _replay(records, config, (False,), lexicon, emoji_lexicon, jobs, log_decisions)[0]
 
 
 def run_with_queue(
@@ -916,7 +919,7 @@ def run_with_queue(
     log_decisions: bool = False,
 ) -> RunReport:
     """Replay through the full queuing lifecycle (submit, re-scan, finalize)."""
-    return _run(records, config, True, lexicon, emoji_lexicon, jobs, log_decisions)
+    return _replay(records, config, (True,), lexicon, emoji_lexicon, jobs, log_decisions)[0]
 
 
 def run_paired(
@@ -932,41 +935,10 @@ def run_paired(
 
     Returns (no_queue_report, with_queue_report).
     """
-    lexicon = lexicon if lexicon is not None else _default_lexicon()
-    emoji_lexicon = (
-        emoji_lexicon if emoji_lexicon is not None else _default_emoji_lexicon()
+    no_queue, with_queue = _replay(
+        records, config, (False, True), lexicon, emoji_lexicon, jobs, log_decisions
     )
-    tasks = _prepare_tasks(records)
-    if jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            jobs,
-            initializer=_init_worker,
-            initargs=(config, lexicon, emoji_lexicon, log_decisions),
-        ) as pool:
-            paired = pool.map(
-                _worker_paired, tasks, chunksize=max(1, len(tasks) // (jobs * 4))
-            )
-    else:
-        _init_worker(config, lexicon, emoji_lexicon, log_decisions)
-        paired = [_worker_paired(task) for task in tasks]
-    shash = stream_hash(records)
-    chash = config.config_hash()
-    report_nq = _assemble([p[0] for p in paired], False, shash, chash, config)
-    report_wq = _assemble([p[1] for p in paired], True, shash, chash, config)
-    return report_nq, report_wq
-
-
-def run_synthetic_pair(
-    spec: SyntheticSpec,
-    config: SimulationConfig,
-    seed: int,
-    *,
-    jobs: int = 1,
-) -> tuple[RunReport, RunReport]:
-    """Generate the (spec, seed) corpus and run both conditions over it."""
-    records = generate_synthetic(spec, seed)
-    return run_paired(records, config, jobs=jobs)
+    return no_queue, with_queue
 
 
 def compare(no_queue: RunReport, with_queue: RunReport) -> ComparisonReport:
@@ -1038,19 +1010,15 @@ def run_id_for(report: RunReport) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def write_run_dir(report: RunReport, out_root: str | Path, fmt: str = "both") -> Path:
+def write_run_dir(report: RunReport, out_root: str | Path) -> Path:
     """Write runs/<run-id>/ files; returns the run directory."""
-    if fmt not in ("json", "csv", "both"):
-        raise ConfigError(f"unknown format {fmt!r}")
     run_dir = Path(out_root) / run_id_for(report)
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
-        if fmt in ("json", "both"):
-            _write_json(run_dir / "report.json", report.to_dict())
-        if fmt in ("csv", "both"):
-            _write_histogram_csv(run_dir / "hold_histogram.csv", report.hold_durations)
-            _write_timeseries_csv(run_dir / "emotion_timeseries.csv", report)
-            _write_board_csv(run_dir / "final_board.csv", report.final_board)
+        _write_json(run_dir / "report.json", report.to_dict())
+        _write_histogram_csv(run_dir / "hold_histogram.csv", report.hold_durations)
+        _write_timeseries_csv(run_dir / "emotion_timeseries.csv", report)
+        _write_board_csv(run_dir / "final_board.csv", report.final_board)
         if report.decision_log is not None:
             lines = [json.dumps(rec, sort_keys=True) for rec in report.decision_log]
             (run_dir / "decisions.log").write_text(
@@ -1061,35 +1029,20 @@ def write_run_dir(report: RunReport, out_root: str | Path, fmt: str = "both") ->
     return run_dir
 
 
-def write_comparison_dir(
-    comparison: ComparisonReport, out_dir: str | Path, fmt: str = "both"
-) -> Path:
-    if fmt not in ("json", "csv", "both"):
-        raise ConfigError(f"unknown format {fmt!r}")
+def write_comparison_dir(comparison: ComparisonReport, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if fmt in ("json", "both"):
-            _write_json(out / "comparison.json", comparison.to_dict())
-        if fmt in ("csv", "both"):
-            lines = ["bin_start_s,count"]
-            lines.extend(f"{b},{c}" for b, c in comparison.histogram)
-            (out / "hold_histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            board_lines = ["emotion,no_queue,with_queue"]
-            nq = comparison.no_queue_board.as_dict()
-            wq = comparison.with_queue_board.as_dict()
-            for name in EMOTION_NAMES:
-                board_lines.append(f"{name},{nq[name]:.6f},{wq[name]:.6f}")
-            (out / "final_board.csv").write_text("\n".join(board_lines) + "\n", encoding="utf-8")
+        _write_json(out / "comparison.json", comparison.to_dict())
+        lines = ["bin_start_s,count"]
+        lines.extend(f"{b},{c}" for b, c in comparison.histogram)
+        (out / "hold_histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        board_lines = ["emotion,no_queue,with_queue"]
+        nq = comparison.no_queue_board.as_dict()
+        wq = comparison.with_queue_board.as_dict()
+        for name in EMOTION_NAMES:
+            board_lines.append(f"{name},{nq[name]:.6f},{wq[name]:.6f}")
+        (out / "final_board.csv").write_text("\n".join(board_lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IOError(f"cannot write comparison directory {out}: {exc}") from exc
     return out
-
-
-def emit_report(
-    report: RunReport | ComparisonReport, out_dir: str | Path, fmt: str = "both"
-) -> Path:
-    """Write a run or comparison report to disk in the requested format(s)."""
-    if isinstance(report, RunReport):
-        return write_run_dir(report, out_dir, fmt)
-    return write_comparison_dir(report, out_dir, fmt)

@@ -15,7 +15,6 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -116,12 +115,6 @@ def parse_jsonl(path: str | Path) -> ParseResult:
         raise EmptyInputError(f"{path}: no valid records")
     records = sorted(by_id.values(), key=lambda r: (r.created_at, r.id))
     return ParseResult(records=records, malformed=malformed, duplicates=duplicates)
-
-
-def replay(records: list[RawRecord]) -> Iterator[tuple[float, RawRecord]]:
-    """Yield (now, record) in (created_at, id) order; `now` is the record's own clock."""
-    for record in sorted(records, key=lambda r: (r.created_at, r.id)):
-        yield record.created_at, record
 
 
 def partition_conversations(records: list[RawRecord]) -> list[list[RawRecord]]:

@@ -127,63 +127,6 @@ class ThresholdConfig:
                 )
 
 
-@dataclass(frozen=True)
-class ActivityState:
-    """Activity regime derived from the last 20 admission times."""
-
-    times: tuple[float, ...] = ()
-    total: int = 0
-    cutoff: float = DEFAULT_ACTIVITY_CUTOFF
-    median_interarrival: float | None = None
-    is_active: bool = False
-
-    @classmethod
-    def initial(cls, cutoff: float = DEFAULT_ACTIVITY_CUTOFF) -> "ActivityState":
-        return cls(cutoff=cutoff)
-
-
-def _median(values: list[float]) -> float:
-    values = sorted(values)
-    mid = len(values) // 2
-    if len(values) % 2:
-        return values[mid]
-    return 0.5 * (values[mid - 1] + values[mid])
-
-
-def activity_update(state: ActivityState, now: float) -> ActivityState:
-    """Push an admission time into the ring and recompute the regime."""
-    times = state.times + (now,)
-    if len(times) > ACTIVITY_RING:
-        times = times[-ACTIVITY_RING:]
-    total = state.total + 1
-    median = None
-    if len(times) >= 2:
-        median = _median([b - a for a, b in zip(times, times[1:])])
-    active = total >= ACTIVITY_RING and median is not None and median < state.cutoff
-    return ActivityState(
-        times=times,
-        total=total,
-        cutoff=state.cutoff,
-        median_interarrival=median,
-        is_active=active,
-    )
-
-
-def effective_thresholds(
-    cfg: ThresholdConfig, activity: ActivityState, processed: int
-) -> dict[EmotionKind, float]:
-    """Per-governed-emotion threshold after activity and decay adjustments."""
-    if processed < 0:
-        raise ValueError("processed must be >= 0")
-    adjust = cfg.active_relax if activity.is_active else -cfg.quiet_tighten
-    decay = cfg.decay_gamma * min(1.0, processed / cfg.decay_scale)
-    out: dict[EmotionKind, float] = {}
-    for e in GOVERNED_EMOTIONS:
-        value = cfg.base[e] + adjust - decay
-        out[e] = min(cfg.ceiling[e], max(cfg.floor[e], value))
-    return out
-
-
 class QueueStatus(Enum):
     HELD = "held"
     RELEASED = "released"
@@ -214,7 +157,6 @@ class AdmissionRow:
 
     seq: int
     tag: int
-    time: float
     comment_id: str
     mass: tuple[float, ...]
     revised: bool
@@ -250,8 +192,6 @@ class Engine:
         self.graph: ConversationGraph | None = None
         self.activity_cutoff = activity_cutoff
         self._act_times: list[float] = []
-        self._act_total = 0
-        self._act_median: float | None = None
         self._act_active = False
         self._base_t = tuple(self.thresholds.base[e] for e in GOVERNED_EMOTIONS)
         self._floor_t = tuple(self.thresholds.floor[e] for e in GOVERNED_EMOTIONS)
@@ -271,30 +211,15 @@ class Engine:
 
     # -- state accessors ----------------------------------------------------
 
-    @property
-    def activity(self) -> ActivityState:
-        return ActivityState(
-            times=tuple(self._act_times),
-            total=self._act_total,
-            cutoff=self.activity_cutoff,
-            median_interarrival=self._act_median,
-            is_active=self._act_active,
-        )
-
     def _push_admission_time(self, now: float) -> None:
-        # inline equivalent of activity_update on the internal ring
+        # the regime counts once the ring is full; its 19 gaps have one median
         times = self._act_times
         times.append(now)
         if len(times) > ACTIVITY_RING:
             del times[0]
-        self._act_total += 1
-        if len(times) >= 2:
-            self._act_median = _median([b - a for a, b in zip(times, times[1:])])
-        self._act_active = (
-            self._act_total >= ACTIVITY_RING
-            and self._act_median is not None
-            and self._act_median < self.activity_cutoff
-        )
+        if len(times) == ACTIVITY_RING:
+            gaps = sorted([b - a for a, b in zip(times, times[1:])])
+            self._act_active = gaps[len(gaps) // 2] < self.activity_cutoff
 
     def _effective_tuple(self, processed: int) -> tuple[float, ...]:
         cfg = self.thresholds
@@ -339,7 +264,7 @@ class Engine:
         return congraph._masses_to_board(mass, total, self.window_size, contributing)
 
     def effective(self) -> dict[EmotionKind, float]:
-        return effective_thresholds(self.thresholds, self.activity, self.processed_count)
+        return dict(zip(GOVERNED_EMOTIONS, self._effective_tuple(self.processed_count)))
 
     def conservation_holds(self) -> bool:
         """processed == admitted + currently held + suspended."""
@@ -396,7 +321,6 @@ class Engine:
             AdmissionRow(
                 seq=len(self.admissions),
                 tag=self._current_tag,
-                time=now,
                 comment_id=comment.id,
                 mass=mass,
                 revised=kind == "revised_released",

@@ -27,7 +27,7 @@ from emoqueue.harness import (
     SyntheticSpec,
     compare,
     generate_synthetic,
-    run_synthetic_pair,
+    run_paired,
     write_jsonl,
     _simulate_conversation,
 )
@@ -72,7 +72,7 @@ class SeedSummary:
 
 
 def _calibrated_seed_worker(seed: int) -> SeedSummary:
-    nq, wq = run_synthetic_pair(CAL_SPEC, CAL_CONFIG, seed, jobs=1)
+    nq, wq = run_paired(generate_synthetic(CAL_SPEC, seed), CAL_CONFIG)
     comparison = compare(nq, wq)
     monotone = bool(np.all(np.diff(wq.cumulative, axis=0) >= 0.0)) and bool(
         np.all(np.diff(nq.cumulative, axis=0) >= 0.0)
@@ -125,9 +125,7 @@ def _equivalence_chunk(chunk_seed: int) -> tuple[int, int]:
             for r in group
         ]
         tags = list(range(len(group)))
-        outcome = _simulate_conversation(
-            group, tags, CAL_CONFIG, True, _LEXICON, _EMOJI, False, classified
-        )
+        outcome = _simulate_conversation(group, tags, classified, CAL_CONFIG, True, False)
         reference = reference_replay(group, classified, CAL_CONFIG, queue_enabled=True)
         conversations += 1
         if outcome.decisions != reference.decisions:

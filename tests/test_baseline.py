@@ -11,9 +11,7 @@ from emoqueue.baseline import (
     OfflineToxicityProxy,
     ProviderError,
     _TokenBucket,
-    compare_policies,
-    make_provider,
-    score_toxicity,
+    compare_policies_corpus,
 )
 from emoqueue.congraph import build_graph
 from emoqueue.emolex import EmotionKind
@@ -50,7 +48,7 @@ class TestOfflineProxy:
 
     def test_score_toxicity_dispatch(self, lexicon):
         proxy = OfflineToxicityProxy(lexicon)
-        assert score_toxicity(proxy, "furious rage the road water paper") == 1.0
+        assert proxy.score("furious rage the road water paper") == 1.0
 
     def test_scores_always_in_unit_interval(self, lexicon):
         from hypothesis import given, settings
@@ -137,7 +135,8 @@ def score_server():
     _ScoreHandler.calls = []
     _ScoreHandler.fail_mode = None
     server = HTTPServer(("127.0.0.1", 0), _ScoreHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting out the default 0.5 s poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/score", _ScoreHandler
     server.shutdown()
@@ -231,10 +230,10 @@ class TestExternalClient:
 
     def test_make_provider_requires_endpoint(self):
         with pytest.raises(ProviderError):
-            make_provider("external_http")
+            ExternalScoreClient("")
 
     def test_make_provider_offline(self, lexicon):
-        provider = make_provider("offline_proxy", lexicon=lexicon)
+        provider = OfflineToxicityProxy(lexicon)
         assert provider.kind == "offline_proxy"
 
 
@@ -257,7 +256,7 @@ class TestComparePolicies:
             ]
         )
         provider = OfflineToxicityProxy(lexicon)
-        result = compare_policies(graph, provider)
+        result = compare_policies_corpus([graph], provider)
         assert result.influence_and_toxicity.toxicity_reduction == 0.0
         assert result.toxicity_only.toxicity_reduction == 0.0
         assert result.influence_and_toxicity.detected_count == 0
@@ -265,8 +264,8 @@ class TestComparePolicies:
     def test_influence_gate_narrows_detection(self, lexicon):
         graph = self.build_toxic_graph()
         provider = OfflineToxicityProxy(lexicon)
-        result = compare_policies(
-            graph, provider, influence_percentile=80.0, toxicity_floor=0.5,
+        result = compare_policies_corpus(
+            [graph], provider, influence_percentile=80.0, toxicity_floor=0.5,
             text_only_floor=0.5,
         )
         a, b = result.influence_and_toxicity, result.toxicity_only
@@ -279,8 +278,8 @@ class TestComparePolicies:
     def test_influence_gated_policy_targets_engaged_subtrees(self, lexicon):
         graph = self.build_toxic_graph()
         provider = OfflineToxicityProxy(lexicon)
-        result = compare_policies(
-            graph, provider, influence_percentile=70.0, toxicity_floor=0.5,
+        result = compare_policies_corpus(
+            [graph], provider, influence_percentile=70.0, toxicity_floor=0.5,
             text_only_floor=1.1,  # text-only floor nothing can reach
         )
         a, b = result.influence_and_toxicity, result.toxicity_only

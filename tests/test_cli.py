@@ -5,7 +5,15 @@ import json
 import pytest
 
 from emoqueue.cli import main
-from emoqueue.harness import SyntheticSpec, generate_synthetic, write_jsonl
+from emoqueue.harness import (
+    SyntheticSpec,
+    compare,
+    generate_synthetic,
+    run_paired,
+    write_comparison_dir,
+    write_jsonl,
+)
+from emoqueue.ingest import parse_jsonl
 
 
 @pytest.fixture
@@ -68,6 +76,31 @@ class TestSimulate:
         conf.write_text("not_a_key = 1\n", encoding="utf-8")
         assert run_cli("simulate", corpus, "--queue", "on", "--config", conf) == 4
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("simulate", "--config", "window_size = 0"),
+            ("simulate", "--config", "rho = 0"),
+            ("simulate", "--config", "rho = 1.5"),
+            ("simulate", "--config", "idle_timeout = -5"),
+            ("simulate", "--config", "kappa = 0"),
+            ("classify", "--kappa", "0"),
+            ("prune-eval", "--kappa", "-1"),
+        ],
+        ids=[
+            "window_size=0", "rho=0", "rho=1.5", "idle_timeout=-5", "kappa=0",
+            "classify-kappa=0", "prune-eval-kappa=-1",
+        ],
+    )
+    def test_out_of_range_setting_exits_4(self, corpus, tmp_path, command):
+        name, flag, value = command
+        if flag == "--config":
+            conf = tmp_path / "bad.conf"
+            conf.write_text(value + "\n", encoding="utf-8")
+            value = conf
+        extra = ("--queue", "on", "--out", tmp_path / "runs") if name == "simulate" else ()
+        assert run_cli(name, corpus, flag, value, *extra) == 4
+
     def test_config_file_applies(self, corpus, tmp_path, capsys):
         conf = tmp_path / "ok.conf"
         conf.write_text("window_size = 10\nkappa = 4.0\n", encoding="utf-8")
@@ -95,6 +128,22 @@ class TestCompare:
         assert "reduction_pct=" in out
         assert (tmp_path / "cmp" / "comparison.json").exists()
         assert (tmp_path / "cmp" / "final_board.csv").exists()
+
+    def test_on_disk_comparison_equals_in_memory(self, corpus, tmp_path):
+        dir_a, dir_b = self.run_pair(corpus, tmp_path)
+        for run_dir in (dir_a, dir_b):
+            assert "series" not in json.loads((run_dir / "report.json").read_text())
+        assert run_cli("compare", dir_a, dir_b, "--out", tmp_path / "cmp") == 0
+        records = parse_jsonl(corpus).records
+        expected = write_comparison_dir(compare(*run_paired(records)), tmp_path / "mem")
+        on_disk = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        in_memory = json.loads((expected / "comparison.json").read_text())
+        # compare reads the spreads back at report.json's 6 decimals, so the
+        # reduction it derives from them may differ in the last digit
+        assert on_disk.pop("reduction_pct") == pytest.approx(
+            in_memory.pop("reduction_pct"), abs=1e-4
+        )
+        assert on_disk == in_memory
 
     def test_identical_runs_reduce_zero(self, corpus, tmp_path, capsys):
         run_cli("simulate", corpus, "--queue", "off", "--out", tmp_path / "runs")

@@ -14,7 +14,6 @@ from emoqueue.harness import (
     SimulationConfig,
     SyntheticSpec,
     compare,
-    emit_report,
     generate_synthetic,
     parse_config_file,
     parse_spec_file,
@@ -23,6 +22,7 @@ from emoqueue.harness import (
     run_with_queue,
     run_without_queue,
     stream_hash,
+    write_comparison_dir,
     write_jsonl,
     write_run_dir,
 )
@@ -40,7 +40,7 @@ class TestConfigFiles:
         path = tmp_path / "run.conf"
         path.write_text(
             "window_size = 50\nkappa = 3.0\nthreshold_anger = 55\nweight_intensity = 0.7\n"
-            "weight_pagerank = 0.1\nweight_depth = 0.1\nweight_replies = 0.1\nseed = 9\n",
+            "weight_pagerank = 0.1\nweight_depth = 0.1\nweight_replies = 0.1\n",
             encoding="utf-8",
         )
         config = parse_config_file(path)
@@ -48,7 +48,6 @@ class TestConfigFiles:
         assert config.kappa == 3.0
         assert config.thresholds.base[EmotionKind.ANGER] == 55.0
         assert config.weights.intensity == 0.7
-        assert config.seed == 9
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -371,7 +370,7 @@ class TestEmission:
         records = anger_stream()
         nq, wq = run_paired(records)
         comparison = compare(nq, wq)
-        out = emit_report(comparison, tmp_path / "cmp")
+        out = write_comparison_dir(comparison, tmp_path / "cmp")
         assert (out / "comparison.json").exists()
         board_lines = (out / "final_board.csv").read_text().strip().splitlines()
         assert board_lines[0] == "emotion,no_queue,with_queue"

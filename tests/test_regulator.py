@@ -9,7 +9,6 @@ from emoqueue.harness import SimulationConfig, generate_synthetic, SyntheticSpec
 from emoqueue.harness import _simulate_conversation  # tested via its public callers too
 from emoqueue.ingest import partition_conversations
 from emoqueue.regulator import (
-    ActivityState,
     AdmissionDecision,
     ClockError,
     Engine,
@@ -17,8 +16,6 @@ from emoqueue.regulator import (
     RegulatorError,
     ThresholdConfig,
     UnknownParentError,
-    activity_update,
-    effective_thresholds,
 )
 from emoqueue.emolex import classify_comment
 
@@ -26,11 +23,21 @@ from helpers import INTENSITY_ONLY, make_comment, no_decay_thresholds
 from reference import reference_replay
 
 
-def active_state(gap: float = 1.0) -> ActivityState:
-    state = ActivityState.initial()
-    for i in range(20):
-        state = activity_update(state, i * gap)
-    return state
+def joy_engine(times, **kwargs) -> Engine:
+    """Engine whose root and replies are all admitted, one per time in ``times``."""
+    eng = Engine(**kwargs)
+    eng.submit(make_comment("r", None, times[0], EmotionKind.JOY, 0.5), now=times[0])
+    for i, now in enumerate(times[1:], 1):
+        eng.submit(make_comment(f"j{i}", "r", now, EmotionKind.JOY, 0.5), now=now)
+    return eng
+
+
+def active_engine(gap: float = 1.0, **kwargs) -> Engine:
+    return joy_engine([i * gap for i in range(20)], **kwargs)
+
+
+def logged_activity(eng: Engine) -> str:
+    return eng.decision_log[-1]["activity"]
 
 
 def intensity_engine(**kwargs) -> Engine:
@@ -62,56 +69,43 @@ class TestThresholdConfig:
 
 class TestEffectiveThresholds:
     def test_quiet_at_start(self):
-        eff = effective_thresholds(ThresholdConfig(), ActivityState.initial(), 0)
+        eff = Engine().effective()
         assert eff[EmotionKind.ANGER] == 45.0
         assert eff[EmotionKind.FEAR] == 55.0
 
     def test_active_relaxes(self):
-        eff = effective_thresholds(ThresholdConfig(), active_state(), 0)
+        eff = active_engine(thresholds=no_decay_thresholds()).effective()
         assert eff[EmotionKind.ANGER] == 60.0
         assert eff[EmotionKind.FEAR] == 70.0
 
     def test_decay_saturates(self):
-        eff = effective_thresholds(ThresholdConfig(), active_state(), 5000)
-        assert eff[EmotionKind.ANGER] == 55.0
+        # decay_scale=1 saturates the decay from the first processed comment
+        eng = active_engine(thresholds=ThresholdConfig(decay_scale=1))
+        assert eng.effective()[EmotionKind.ANGER] == 55.0
 
     def test_floor_clamps(self):
-        cfg = ThresholdConfig(decay_gamma=30.0)
-        eff = effective_thresholds(cfg, ActivityState.initial(), 10_000)
-        assert eff[EmotionKind.ANGER] == 30.0
+        eng = joy_engine([0.0], thresholds=ThresholdConfig(decay_gamma=30.0, decay_scale=1))
+        assert eng.effective()[EmotionKind.ANGER] == 30.0
 
     def test_only_governed_emotions_present(self):
-        eff = effective_thresholds(ThresholdConfig(), ActivityState.initial(), 0)
-        assert set(eff) == {
+        assert set(Engine().effective()) == {
             EmotionKind.ANGER,
             EmotionKind.FEAR,
             EmotionKind.DISGUST,
             EmotionKind.SADNESS,
         }
 
-    def test_negative_processed_rejected(self):
-        with pytest.raises(ValueError):
-            effective_thresholds(ThresholdConfig(), ActivityState.initial(), -1)
-
 
 class TestActivity:
     def test_fewer_than_ring_is_quiet(self):
-        state = ActivityState.initial()
-        for i in range(19):
-            state = activity_update(state, float(i))
-        assert not state.is_active
+        eng = joy_engine([float(i) for i in range(19)], log_decisions=True)
+        assert logged_activity(eng) == "quiet"
 
     def test_fast_cadence_is_active(self):
-        assert active_state(gap=1.0).is_active
+        assert logged_activity(active_engine(gap=1.0, log_decisions=True)) == "active"
 
     def test_slow_cadence_is_quiet(self):
-        assert not active_state(gap=600.0).is_active
-
-    def test_median_of_even_gap_count_uses_middle_pair(self):
-        state = ActivityState.initial()
-        for now in (0.0, 1.0, 5.0):
-            state = activity_update(state, now)
-        assert state.median_interarrival == pytest.approx(2.5)
+        assert logged_activity(active_engine(gap=600.0, log_decisions=True)) == "quiet"
 
 
 class TestSubmit:
@@ -384,21 +378,6 @@ class TestInvariants:
                 was_releasable = was_releasable or releasable
 
 
-class TestActivityEquivalence:
-    def test_engine_ring_matches_functional_updates(self):
-        rng = np.random.default_rng(19)
-        eng = Engine(activity_cutoff=30.0)
-        state = ActivityState.initial(30.0)
-        now = 0.0
-        eng.submit(make_comment("r", None, now, EmotionKind.JOY, 0.5), now=now)
-        state = activity_update(state, now)
-        for i in range(1, 50):
-            now += float(rng.uniform(0.5, 90.0))
-            eng.submit(make_comment(f"j{i}", "r", now, EmotionKind.JOY, 0.5), now=now)
-            state = activity_update(state, now)
-            assert eng.activity == state
-
-
 class TestGoldenDecisionLog:
     def test_hold_and_release_flow_log(self):
         # frozen end-to-end log for the hold -> dilution -> release flow
@@ -487,11 +466,14 @@ class TestIdleTimeout:
             make_record("late", "r", 5000.0, "about the road"),
         ]
         config = Config(weights=INTENSITY_ONLY, idle_timeout=600.0)
-        from emoqueue.harness import _simulate_conversation
-
-        outcome = _simulate_conversation(
-            records, [0, 1, 2], config, True, lexicon, emoji_lexicon, False
-        )
+        classified = [
+            classify_comment(
+                r.id, r.author, r.parent_id, r.created_at, r.text,
+                lexicon, emoji_lexicon, config.kappa,
+            )
+            for r in records
+        ]
+        outcome = _simulate_conversation(records, [0, 1, 2], classified, config, True, False)
         # the held anger comment resolves at the idle finalize (t=610),
         # not at stream end; the late neutral comment still admits
         decisions = dict(outcome.decisions)
@@ -544,9 +526,7 @@ class TestOracleEquivalence:
                     for r in group
                 ]
                 tags = list(range(len(group)))
-                outcome = _simulate_conversation(
-                    group, tags, config, True, lexicon, emoji_lexicon, False, classified
-                )
+                outcome = _simulate_conversation(group, tags, classified, config, True, False)
                 ref = reference_replay(group, classified, config, queue_enabled=True)
                 if outcome.decisions != ref.decisions:
                     mismatches += 1
