@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +63,15 @@ def _coerce_record(obj: object) -> RawRecord | None:
         return None
     if not isinstance(author, str):
         return None
-    if not isinstance(created, (int, float)) or isinstance(created, bool) or created < 0:
+    if not isinstance(created, (int, float)) or isinstance(created, bool):
+        return None
+    # json.loads accepts NaN, Infinity and integers beyond the float range,
+    # none of which the simulated clock can replay
+    try:
+        created = float(created)
+    except OverflowError:
+        return None
+    if not math.isfinite(created) or created < 0:
         return None
     if not isinstance(text, str):
         return None
@@ -71,7 +80,7 @@ def _coerce_record(obj: object) -> RawRecord | None:
     if parent == "":
         parent = None
     return RawRecord(
-        id=rid, parent_id=parent, author=author, created_at=float(created), text=text
+        id=rid, parent_id=parent, author=author, created_at=created, text=text
     )
 
 

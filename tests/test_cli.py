@@ -71,6 +71,21 @@ class TestSimulate:
         assert run_cli("simulate", path, "--queue", "on", "--out", tmp_path / "runs") == 0
         assert "total=1 admitted=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("created", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_timestamp_line_skipped(self, tmp_path, capsys, created):
+        # json.dumps writes the NaN and Infinity tokens; the held comment's
+        # hold duration would be NaN if such a line were replayed
+        angry = "I hate this, furious rage"
+        rows = [
+            {"id": "r", "parent_id": None, "author": "u", "created_at": 0, "text": "hello"},
+            {"id": "a", "parent_id": "r", "author": "u", "created_at": 1, "text": angry},
+            {"id": "b", "parent_id": "r", "author": "u", "created_at": created, "text": angry},
+        ]
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert run_cli("simulate", path, "--queue", "on", "--out", tmp_path / "runs") == 0
+        assert "total=2 admitted=1 held=1" in capsys.readouterr().out
+
     def test_bad_config_key_exits_4(self, corpus, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not_a_key = 1\n", encoding="utf-8")

@@ -356,6 +356,82 @@ class TestHypotheticalBoard:
                 assert h == pytest.approx(r, abs=1e-9)
 
 
+def deep_tree_comments(rng: np.random.Generator, n: int):
+    """Mostly a chain, with side branches off the last 10 nodes."""
+    kinds = list(EmotionKind)
+    comments = [make_comment("n0", None, 0.0, EmotionKind.JOY, 0.5)]
+    for i in range(1, n):
+        back = 1 if rng.random() < 0.9 else int(rng.integers(1, min(i, 10) + 1))
+        kind = kinds[int(rng.integers(0, 8))]
+        intensity = round(float(rng.uniform(0.1, 1.0)), 3)
+        comments.append(make_comment(f"n{i}", f"n{i - back}", float(i), kind, intensity))
+    return comments
+
+
+def unbounded_weights(parents: list[int], damping: float = 0.85) -> tuple[np.ndarray, float]:
+    """Incremental PageRank weights walking every ancestor, in the same
+    arithmetic order as ConversationGraph; parents[i] < i, -1 for the root."""
+    weight = np.zeros(len(parents))
+    max_weight = 1.0
+    for idx, parent in enumerate(parents):
+        weight[idx] = 1.0
+        delta = damping
+        anc = parent
+        while anc >= 0:
+            weight[anc] = weight[anc] + delta
+            if weight[anc] > max_weight:
+                max_weight = weight[anc]
+            delta *= damping
+            anc = parents[anc]
+    return weight, max_weight
+
+
+class TestBoundedAncestorWalk:
+    """Admission stops walking ancestors once damping**k < 2**-53; every
+    skipped add is a floating-point no-op, so weights stay bit-identical."""
+
+    @staticmethod
+    def admit_all(comments):
+        g = ConversationGraph(comments[0])
+        for c in comments[1:]:
+            g.add(c)
+        parents = [-1] + [g._index[c.parent_id] for c in comments[1:]]
+        return g, parents
+
+    def test_deep_chain_weights_bit_identical(self):
+        comments = [make_comment("n0", None, 0.0)] + [
+            make_comment(f"n{i}", f"n{i - 1}", float(i)) for i in range(1, 2000)
+        ]
+        g, parents = self.admit_all(comments)
+        weight, max_weight = unbounded_weights(parents)
+        assert g.depth_of("n1999") == 1999
+        assert np.array_equal(g._weight[: len(g)], weight)
+        assert g._max_weight == max_weight
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_deep_random_tree_weights_bit_identical(self, seed):
+        comments = deep_tree_comments(np.random.default_rng([29, seed]), 800)
+        g, parents = self.admit_all(comments)
+        weight, max_weight = unbounded_weights(parents)
+        assert max(g.depth_of(c.id) for c in comments) > 226
+        assert np.array_equal(g._weight[: len(g)], weight)
+        assert g._max_weight == max_weight
+
+    @pytest.mark.parametrize("window", [1, 40, 100, 300])
+    def test_hypothetical_board_matches_real_admission(self, window):
+        comments = deep_tree_comments(np.random.default_rng([31, window]), 600)
+        g, _ = self.admit_all(comments[:-1])
+        cand = comments[-1]
+        assert g.depth_of(cand.parent_id) > 226
+        hyp = hypothetical_board(g, window, InfluenceWeights(), cand, cand.parent_id)
+        g.add(cand)
+        real = board(g, window, InfluenceWeights())
+        # the hypothetical adds the candidate's mass outside the window's
+        # matrix product, so the sums may round differently in the last bit
+        assert hyp.percentages == pytest.approx(real.percentages, rel=0, abs=1e-12)
+        assert hyp.contributing == real.contributing
+
+
 class TestPrune:
     def toxic_graph(self):
         comments = [

@@ -59,6 +59,17 @@ class TestParseJsonl:
         result = parse_jsonl(path)
         assert len(result) == 1
 
+    @pytest.mark.parametrize(
+        "created",
+        [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "int-beyond-float"],
+    )
+    def test_non_finite_timestamp_counted_malformed(self, tmp_path, created):
+        path = write_jsonl(tmp_path, [rec("a", t=created), rec("b")])
+        result = parse_jsonl(path)
+        assert [r.id for r in result.records] == ["b"]
+        assert result.malformed == 1
+
     def test_empty_input_raises(self, tmp_path):
         path = write_jsonl(tmp_path, ["{broken"])
         with pytest.raises(EmptyInputError):

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from emoqueue.congraph import StructuralError
 from emoqueue.emolex import EmotionKind
-from emoqueue.harness import SimulationConfig, generate_synthetic, SyntheticSpec
+from emoqueue.harness import (
+    DEFAULT_MIXTURE,
+    SimulationConfig,
+    SyntheticSpec,
+    generate_synthetic,
+)
 from emoqueue.harness import _simulate_conversation  # tested via its public callers too
 from emoqueue.ingest import partition_conversations
 from emoqueue.regulator import (
     AdmissionDecision,
     ClockError,
+    GOVERNED_EMOTIONS,
     Engine,
     QueueStatus,
     RegulatorError,
@@ -531,3 +539,53 @@ class TestOracleEquivalence:
                 if outcome.decisions != ref.decisions:
                     mismatches += 1
         assert mismatches == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("governed", [False, True], ids=["ungoverned", "default"])
+    def test_engine_matches_reference_on_deep_chains(
+        self, lexicon, emoji_lexicon, governed, seed
+    ):
+        # 300 deep: past the 226 ancestor levels an admission walks at d = 0.85
+        config = SimulationConfig()
+        if governed:
+            spec = SyntheticSpec(conversations=1, comments_per_conversation=300, troll_rate=0.15)
+        else:
+            governed_names = {e.value for e in GOVERNED_EMOTIONS}
+            ungoverned = {k: v for k, v in DEFAULT_MIXTURE.items() if k not in governed_names}
+            share = sum(ungoverned.values())
+            spec = SyntheticSpec(
+                conversations=1,
+                comments_per_conversation=300,
+                troll_rate=0.0,
+                mixture={k: v / share for k, v in ungoverned.items()},
+            )
+        records = generate_synthetic(spec, seed)
+        records = [records[0]] + [
+            dataclasses.replace(record, parent_id=prev.id)
+            for prev, record in zip(records, records[1:])
+        ]
+        classified = [
+            classify_comment(
+                r.id, r.author, r.parent_id, r.created_at, r.text,
+                lexicon, emoji_lexicon, config.kappa,
+            )
+            for r in records
+        ]
+        outcome = _simulate_conversation(
+            records, list(range(len(records))), classified, config, True, False
+        )
+        ref = reference_replay(records, classified, config, queue_enabled=True)
+        assert outcome.decisions == ref.decisions
+        kinds = [kind for _, kind in outcome.decisions]
+        if not governed:
+            assert kinds == ["admitted"] * len(records)
+            return
+        # a held comment defers its whole subtree, which in a chain is every
+        # later comment: nothing is published again before finalize
+        first_held = kinds.index("held")
+        assert first_held > 226
+        finalized = next(
+            i for i, kind in enumerate(kinds) if kind in ("revised_released", "suspended")
+        )
+        assert set(kinds[first_held:finalized]) == {"held"}
+        assert kinds[:first_held] == ["admitted"] * first_held
