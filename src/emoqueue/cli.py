@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -224,6 +225,25 @@ def _cmd_prune_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_flags(args) -> None:
+    """Non-finite or out-of-range numeric flags are config errors (exit 4)."""
+    kappa = getattr(args, "kappa", 1.0)
+    if not 0.0 < kappa < math.inf:
+        raise ConfigError(f"--kappa must be positive and finite, got {kappa}")
+    if args.command != "prune-eval":
+        return
+    if not 0.0 <= args.influence_percentile <= 100.0:
+        raise ConfigError(
+            f"--influence-percentile must lie in [0, 100], got {args.influence_percentile}"
+        )
+    for flag, value in (
+        ("--toxicity-floor", args.toxicity_floor),
+        ("--text-only-floor", args.text_only_floor),
+    ):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{flag} must lie in [0, 1], got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -235,8 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         "prune-eval": _cmd_prune_eval,
     }
     try:
-        if getattr(args, "kappa", 1.0) <= 0:
-            raise ConfigError(f"--kappa must be positive, got {args.kappa}")
+        _check_flags(args)
         return handlers[args.command](args)
     except EmptyInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,8 +63,8 @@ class InfluenceWeights:
 
     def __post_init__(self) -> None:
         parts = (self.intensity, self.pagerank, self.depth, self.replies)
-        if any(w < 0 for w in parts):
-            raise ValueError("influence weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in parts):
+            raise ValueError("influence weights must be nonnegative and finite")
         if abs(sum(parts) - 1.0) > 1e-9:
             raise ValueError(f"influence weights must sum to 1, got {sum(parts)}")
 
@@ -405,10 +405,12 @@ def window_masses(
 ) -> tuple[np.ndarray, float, int]:
     """Influence-weighted emotion mass over the window: (mass[8], total, contributing)."""
     mass, total = _window_mass_totals(graph, window_size, weights)
-    n = graph._n
-    sl = slice(max(0, n - window_size), n)
-    contributing = int(graph._vectors[sl].any(axis=1).sum())
-    return mass, total, contributing
+    return mass, total, _contributing(graph, max(0, graph._n - window_size))
+
+
+def _contributing(graph: ConversationGraph, start: int) -> int:
+    """Rows in ``[start, n)`` with a nonzero emotion vector."""
+    return int(graph._vectors[start : graph._n].any(axis=1).sum())
 
 
 def _masses_to_board(
@@ -480,6 +482,25 @@ def _hypothetical_mass_totals(
     return mass, float(mass.sum())
 
 
+def _window_term_sums(graph: ConversationGraph, start: int) -> np.ndarray:
+    """Emotion sums of the four influence terms over rows ``[start, n)``.
+
+    Rows of the (4, 8) result: intensity, PageRank weight, ``1 / (1 + depth)``
+    and log reply count, each times the row's vector, before the mixing
+    weights and the maxima scale them.
+    """
+    sl = slice(start, graph._n)
+    terms = np.stack(
+        (
+            graph._intensity[sl],
+            graph._weight[sl],
+            1.0 / (1.0 + graph._depth[sl]),
+            graph._log_replies[sl],
+        )
+    )
+    return terms @ graph._vectors[sl]
+
+
 def hypothetical_masses(
     graph: ConversationGraph,
     window_size: int,
@@ -496,9 +517,7 @@ def hypothetical_masses(
     mass, total = _hypothetical_mass_totals(
         graph, window_size, weights, candidate, parent_id
     )
-    n = graph._n
-    sl = slice(max(0, n + 1 - window_size), n)
-    contributing = int(graph._vectors[sl].any(axis=1).sum())
+    contributing = _contributing(graph, max(0, graph._n + 1 - window_size))
     if not candidate.vector.is_zero:
         contributing += 1
     return mass, total, contributing

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
@@ -82,12 +83,14 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        if self.idle_timeout < 0:
-            raise ValueError("idle_timeout must be >= 0")
+        if not 0.0 <= self.idle_timeout < math.inf:
+            raise ValueError("idle_timeout must be finite and >= 0")
+        if not 0.0 <= self.activity_cutoff < math.inf:
+            raise ValueError("activity_cutoff must be finite and >= 0")
 
     def as_dict(self) -> dict:
         return {
@@ -271,8 +274,8 @@ class SyntheticSpec:
             raise ValueError("troll_rate must lie in [0, 1]")
         if not 0.0 <= self.contagion <= 1.0:
             raise ValueError("contagion must lie in [0, 1]")
-        if self.inter_arrival_mean <= 0:
-            raise ValueError("inter_arrival_mean must be positive")
+        if not 0.0 < self.inter_arrival_mean < math.inf:
+            raise ValueError("inter_arrival_mean must be positive and finite")
         if self.attachment not in ("preferential", "uniform"):
             raise ValueError(f"unknown attachment {self.attachment!r}")
         mixture = dict(self.mixture)

@@ -40,18 +40,51 @@ Protocol, in full (the cache-free reference in the test suite mirrors it):
 
 A queue-disabled engine (the no-queue condition of paired runs) admits
 every submission directly; nothing reads its thresholds or activity regime.
+
+Between two admissions the window does not change, so the engine builds
+what it reads from the window once per graph state and drops it on the next
+admission: the current masses, the board, the board as the decision log
+rounds it, and the sums the re-test screen patches.
+
+Re-test screen. Every admission re-tests every held entry, and nearly all
+of them stay held. Influence is linear in its four terms and every summand
+is non-negative (vectors in [0, 1], mixing weights >= 0, PageRank weights
+>= 1, log reply counts >= 0). So per graph state the engine keeps the four
+per-emotion term sums over the hypothetical window ``[max(0, n+1-W), n)``,
+one (4 x rows) @ (rows x 8) product. Per entry it patches in the ancestors'
+``damping**k`` bumps inside the window, the parent's new log-reply term,
+the new maximum weight and reply count, and the candidate's own mass.
+``requeue_scan`` and ``finalize`` reject an entry when some governed
+emotion fails both inequalities by the factor ``1 + tau``, with
+``tau = 8 * (rows + 16) * u`` and ``u = 2**-53``; any other entry gets the
+exact test, so every decision is the exact path's. ``submit`` is exact
+only, since most submitted comments pass.
+
+The bound. Each mass or total either path compares is a sum of
+non-negative products of at most four rounded factors. Summing k
+non-negative terms in any order loses at most ``(k - 1) * u`` relative, so
+both paths land within ``gamma = (rows + 16) * u / (1 - (rows + 16) * u)``
+of the same real value; 16 covers the products' roundings, the patches and
+the eight-term total. The two sides of one inequality can thus differ
+between the paths by about ``4 * gamma``, plus five roundings in the
+comparisons themselves, which ``tau`` exceeds. A screen rejection therefore
+implies an exact rejection, while an exact tie (hypothetical share equal to
+the current one) always falls inside the slack and goes to the exact test.
+The bound is relative and fails under gradual underflow, so the screen
+rejects only when ``m_e * T_cur >= 2**-900``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
 from . import congraph
 from .congraph import ConversationGraph, EmotionBoard, InfluenceWeights
-from .emolex import EMOTION_INDEX, ClassifiedComment, EmotionKind
+from .emolex import EMOTION_INDEX, EMOTION_NAMES, ClassifiedComment, EmotionKind
 
 logger = logging.getLogger(__name__)
 
@@ -67,10 +100,17 @@ POSITIVE_EMOTIONS: frozenset[EmotionKind] = frozenset(
 _GOVERNED_IDX: tuple[tuple[int, EmotionKind], ...] = tuple(
     (EMOTION_INDEX[e], e) for e in GOVERNED_EMOTIONS
 )
+_GOVERNED_NAMES: tuple[str, ...] = tuple(e.value for e in GOVERNED_EMOTIONS)
 
 ACTIVITY_RING = 20
 DEFAULT_ACTIVITY_CUTOFF = 60.0
 DEFAULT_RHO = 0.5
+
+# the re-test screen's slack is 1 + _SCREEN_ULPS * (window rows + 16) * 2**-53;
+# below _SCREEN_MIN rounding errors stop being relative (gradual underflow)
+_SCREEN_ULPS = 8.0
+_SCREEN_MIN = 2.0**-900
+_ZERO_VECTOR = (0.0,) * 8
 
 
 class RegulatorError(Exception):
@@ -119,6 +159,10 @@ class ThresholdConfig:
         object.__setattr__(self, "ceiling", merged_ceiling)
         if self.decay_scale < 1:
             raise ValueError("decay_scale must be >= 1")
+        if not all(
+            math.isfinite(v) for v in (self.active_relax, self.quiet_tighten, self.decay_gamma)
+        ):
+            raise ValueError("active_relax, quiet_tighten and decay_gamma must be finite")
         for e in GOVERNED_EMOTIONS:
             if not 0.0 < merged_floor[e] <= merged_base[e] <= merged_ceiling[e] <= 100.0:
                 raise ValueError(
@@ -160,6 +204,21 @@ class AdmissionRow:
     comment_id: str
     mass: tuple[float, ...]
     revised: bool
+
+
+class _WindowState:
+    """The window in one graph state, shared by every reader until the next
+    admission: masses, board, and the sums the re-test screen patches."""
+
+    __slots__ = ("mass", "total", "board", "logged", "screen")
+
+    def __init__(self, mass, total: float):
+        self.mass = mass
+        self.total = total
+        self.board: EmotionBoard | None = None
+        self.logged: tuple[float, ...] | None = None
+        # (start, slack, base sums, PageRank sums, reply sums, current masses)
+        self.screen: tuple | None = None
 
 
 class Engine:
@@ -206,7 +265,8 @@ class Engine:
         self.decisions: list[tuple[str, str]] = []
         self.decision_log: list[dict] = []
         self._last_now = float("-inf")
-        self._masses_cache: tuple | None = None  # (graph size, mass[8], total)
+        self._state: _WindowState | None = None  # the window now; _admit drops it
+        self._eff_memo: tuple = (None, ())  # ((processed, active), thresholds)
         self._current_tag = 0
 
     # -- state accessors ----------------------------------------------------
@@ -222,13 +282,18 @@ class Engine:
             self._act_active = gaps[len(gaps) // 2] < self.activity_cutoff
 
     def _effective_tuple(self, processed: int) -> tuple[float, ...]:
+        key = (processed, self._act_active)
+        if self._eff_memo[0] == key:
+            return self._eff_memo[1]
         cfg = self.thresholds
         adjust = cfg.active_relax if self._act_active else -cfg.quiet_tighten
         decay = cfg.decay_gamma * min(1.0, processed / cfg.decay_scale)
-        return tuple(
+        eff = tuple(
             min(ceiling, max(floor, base + adjust - decay))
             for base, floor, ceiling in zip(self._base_t, self._floor_t, self._ceiling_t)
         )
+        self._eff_memo = (key, eff)
+        return eff
 
     @property
     def admitted_count(self) -> int:
@@ -242,26 +307,42 @@ class Engine:
     def suspended_count(self) -> int:
         return len(self._suspended_ids)
 
+    def _window(self) -> _WindowState:
+        state = self._state
+        if state is None:
+            assert self.graph is not None
+            state = self._state = _WindowState(
+                *congraph._window_mass_totals(self.graph, self.window_size, self.weights)
+            )
+        return state
+
     def _current_masses(self):
-        assert self.graph is not None
-        cached = self._masses_cache
-        n = len(self.graph)
-        if cached is not None and cached[0] == n:
-            return cached[1], cached[2]
-        mass, total = congraph._window_mass_totals(
-            self.graph, self.window_size, self.weights
-        )
-        self._masses_cache = (n, mass, total)
-        return mass, total
+        state = self._window()
+        return state.mass, state.total
 
     def board(self) -> EmotionBoard:
         """Current emotion board (empty-graph engines report all zero)."""
         if self.graph is None:
             return EmotionBoard((0.0,) * 8, self.window_size, 0)
-        mass, total, contributing = congraph.window_masses(
-            self.graph, self.window_size, self.weights
-        )
-        return congraph._masses_to_board(mass, total, self.window_size, contributing)
+        state = self._window()
+        if state.board is None:
+            start = max(0, len(self.graph) - self.window_size)
+            state.board = congraph._masses_to_board(
+                state.mass,
+                state.total,
+                self.window_size,
+                congraph._contributing(self.graph, start),
+            )
+        return state.board
+
+    def _logged_board(self) -> tuple[float, ...]:
+        """Board percentages as the decision log writes them (6 decimals)."""
+        if self.graph is None:
+            return (0.0,) * 8
+        state = self._window()
+        if state.logged is None:
+            state.logged = tuple(round(v, 6) for v in self.board().percentages)
+        return state.logged
 
     def effective(self) -> dict[EmotionKind, float]:
         return dict(zip(GOVERNED_EMOTIONS, self._effective_tuple(self.processed_count)))
@@ -298,6 +379,83 @@ class Engine:
             return False
         return True
 
+    def _screen_sums(self, state: _WindowState) -> tuple:
+        graph = self.graph
+        assert graph is not None
+        n = len(graph)
+        start = max(0, n + 1 - self.window_size)
+        sums = congraph._window_term_sums(graph, start)
+        w = self.weights
+        slack = 1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53
+        base = (w.intensity * sums[0] + w.depth * sums[2]).tolist()
+        return start, slack, base, sums[1].tolist(), sums[3].tolist(), state.mass.tolist()
+
+    def _screen_rejects(self, comment: ClassifiedComment, parent_id: str) -> bool:
+        """True only where ``_passes`` is False: the hypothetical masses from
+        the window's term sums fail both inequalities by the slack."""
+        dominant = comment.dominant
+        if dominant is None or dominant in POSITIVE_EMOTIONS:
+            return False
+        state = self._window()
+        cur_total = state.total
+        if cur_total <= 0.0:
+            return False
+        if state.screen is None:
+            state.screen = self._screen_sums(state)
+        start, slack, base, sum_w, sum_r, cur_mass = state.screen
+        graph = self.graph
+        assert graph is not None
+        parent_idx = graph._index[parent_id]
+        weight = graph._weight
+        comments = graph._comments
+        max_weight = graph._max_weight
+        patch_w = [0.0] * 8
+        for idx, delta in graph._ancestor_deltas(parent_idx):
+            adjusted = weight[idx] + delta
+            if adjusted > max_weight:
+                max_weight = adjusted
+            if idx >= start:
+                patch_w = [p + delta * v for p, v in zip(patch_w, comments[idx].vector)]
+        parent_replies = graph._replies[parent_idx] + 1
+        log_replies = math.log2(1.0 + parent_replies)
+        if parent_idx >= start:
+            patch_r = log_replies - float(graph._log_replies[parent_idx])
+            parent_vec = comments[parent_idx].vector
+        else:
+            patch_r, parent_vec = 0.0, _ZERO_VECTOR
+        w = self.weights
+        coef_w = w.pagerank / float(max_weight)
+        coef_r = w.replies / math.log2(1.0 + max(graph._max_replies, parent_replies))
+        cand = (
+            w.intensity * comment.intensity
+            + coef_w
+            + w.depth / (2.0 + float(graph._depth[parent_idx]))
+        )
+        hyp = [
+            b + coef_w * (sw + pw) + coef_r * (sr + patch_r * pv) + cand * cv
+            for b, sw, pw, sr, pv, cv in zip(
+                base, sum_w, patch_w, sum_r, parent_vec, comment.vector
+            )
+        ]
+        total = sum(hyp)
+        eff = self._effective_tuple(self.processed_count)
+        for pos, (idx, _) in enumerate(_GOVERNED_IDX):
+            mass = hyp[idx]
+            if (
+                100.0 * mass > slack * eff[pos] * total
+                and mass * cur_total > slack * cur_mass[idx] * total
+                and mass * cur_total >= _SCREEN_MIN
+            ):
+                return True
+        return False
+
+    def _retest(self, comment: ClassifiedComment, parent_id: str) -> bool:
+        """The decision for a held entry: screened, then exact if not rejected."""
+        assert self.graph is not None
+        if parent_id not in self.graph or self._screen_rejects(comment, parent_id):
+            return False
+        return self._passes(comment, parent_id, self.processed_count)
+
     # -- commit helpers -------------------------------------------------------
 
     def _admit(
@@ -311,7 +469,7 @@ class Engine:
             self.graph = ConversationGraph(comment, damping=self.damping)
         else:
             self.graph.add(comment, parent_id=parent_id)
-        self._masses_cache = None
+        self._state = None
         if self.queue_enabled or self.log_decisions:
             # without a queue nothing reads the activity regime
             self._push_admission_time(now)
@@ -332,21 +490,19 @@ class Engine:
         self,
         comment_id: str,
         decision: str,
-        board_before: EmotionBoard | None,
+        board_before: tuple[float, ...] | None,
         hold_duration: float | None = None,
     ) -> None:
         if not self.log_decisions:
             return
-        if board_before is None:
-            board_before = EmotionBoard((0.0,) * 8, self.window_size, 0)
-        eff = self.effective()
+        eff = self._effective_tuple(self.processed_count)
         record = {
             "event_seq": len(self.decision_log),
             "comment_id": comment_id,
             "decision": decision,
-            "board_before": {k: round(v, 6) for k, v in board_before.as_dict().items()},
-            "board_after": {k: round(v, 6) for k, v in self.board().as_dict().items()},
-            "eff_thresholds": {e.value: round(v, 6) for e, v in eff.items()},
+            "board_before": dict(zip(EMOTION_NAMES, board_before)),
+            "board_after": dict(zip(EMOTION_NAMES, self._logged_board())),
+            "eff_thresholds": {name: round(v, 6) for name, v in zip(_GOVERNED_NAMES, eff)},
             "activity": "active" if self._act_active else "quiet",
         }
         if hold_duration is not None:
@@ -386,7 +542,7 @@ class Engine:
                 raise UnknownParentError(
                     f"first submission must be the conversation root, got parent {target!r}"
                 )
-            before = self.board() if self.log_decisions else None
+            before = self._logged_board() if self.log_decisions else None
             self.processed_count += 1
             self._admit(comment, None, now, "admitted")
             self._log(comment.id, "admitted", before)
@@ -406,13 +562,13 @@ class Engine:
                 target = self.graph.root_id
                 self.orphan_count += 1
             else:
-                before = self.board() if self.log_decisions else None
+                before = self._logged_board() if self.log_decisions else None
                 self.processed_count += 1
                 self._enqueue(comment, target, now)
                 self._log(comment.id, "held", before)
                 return AdmissionDecision.HELD
 
-        before = self.board() if self.log_decisions else None
+        before = self._logged_board() if self.log_decisions else None
         if self.queue_enabled and not self._passes(comment, target, self.processed_count):
             self.processed_count += 1
             self._enqueue(comment, target, now)
@@ -445,12 +601,9 @@ class Engine:
             if entry.status is not QueueStatus.HELD:
                 continue
             entry.reeval_count += 1
-            assert self.graph is not None
-            if entry.parent_id not in self.graph:
+            if not self._retest(entry.comment, entry.parent_id):
                 continue
-            if not self._passes(entry.comment, entry.parent_id, self.processed_count):
-                continue
-            before = self.board() if self.log_decisions else None
+            before = self._logged_board() if self.log_decisions else None
             entry.status = QueueStatus.RELEASED
             entry.release_time = now
             entry.hold_duration = now - entry.enqueue_time
@@ -478,11 +631,8 @@ class Engine:
             if comment.dominant is not None:
                 comment = replace(comment, intensity=max(0.1, self.rho * comment.intensity))
                 entry.comment = comment
-            before = self.board() if self.log_decisions else None
-            assert self.graph is not None
-            if entry.parent_id in self.graph and self._passes(
-                comment, entry.parent_id, self.processed_count
-            ):
+            before = self._logged_board() if self.log_decisions else None
+            if self._retest(comment, entry.parent_id):
                 entry.status = QueueStatus.RELEASED
                 entry.release_time = now
                 entry.hold_duration = now - entry.enqueue_time

@@ -99,12 +99,28 @@ class TestSimulate:
             ("simulate", "--config", "rho = 1.5"),
             ("simulate", "--config", "idle_timeout = -5"),
             ("simulate", "--config", "kappa = 0"),
+            ("simulate", "--config", "kappa = nan"),
+            ("simulate", "--config", "kappa = inf"),
+            ("simulate", "--config", "idle_timeout = nan"),
+            ("simulate", "--config", "activity_cutoff = nan"),
+            ("simulate", "--config", "weight_intensity = nan"),
+            ("simulate", "--config", "decay_gamma = inf"),
             ("classify", "--kappa", "0"),
+            ("classify", "--kappa", "nan"),
             ("prune-eval", "--kappa", "-1"),
+            ("prune-eval", "--kappa", "inf"),
+            ("prune-eval", "--influence-percentile", "150"),
+            ("prune-eval", "--influence-percentile", "nan"),
+            ("prune-eval", "--toxicity-floor", "nan"),
+            ("prune-eval", "--text-only-floor", "2"),
         ],
         ids=[
             "window_size=0", "rho=0", "rho=1.5", "idle_timeout=-5", "kappa=0",
-            "classify-kappa=0", "prune-eval-kappa=-1",
+            "kappa=nan", "kappa=inf", "idle_timeout=nan", "activity_cutoff=nan",
+            "weight_intensity=nan", "decay_gamma=inf",
+            "classify-kappa=0", "classify-kappa=nan", "prune-eval-kappa=-1",
+            "prune-eval-kappa=inf", "influence-percentile=150", "influence-percentile=nan",
+            "toxicity-floor=nan", "text-only-floor=2",
         ],
     )
     def test_out_of_range_setting_exits_4(self, corpus, tmp_path, command):

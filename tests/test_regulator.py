@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emoqueue.congraph import StructuralError
-from emoqueue.emolex import EmotionKind
+from emoqueue import congraph, harness
+from emoqueue.congraph import InfluenceWeights, StructuralError
+from emoqueue.emolex import EmotionKind, EmotionVector
 from emoqueue.harness import (
     DEFAULT_MIXTURE,
     SimulationConfig,
@@ -51,6 +54,22 @@ def logged_activity(eng: Engine) -> str:
 def intensity_engine(**kwargs) -> Engine:
     kwargs.setdefault("weights", INTENSITY_ONLY)
     return Engine(**kwargs)
+
+
+def storm_conversation(seed, lexicon, emoji_lexicon, config, comments=200):
+    """One classified conversation at troll rate 0.6."""
+    spec = SyntheticSpec(
+        conversations=1, comments_per_conversation=comments, troll_rate=0.6
+    )
+    records = generate_synthetic(spec, seed)
+    classified = [
+        classify_comment(
+            r.id, r.author, r.parent_id, r.created_at, r.text,
+            lexicon, emoji_lexicon, config.kappa,
+        )
+        for r in records
+    ]
+    return records, classified
 
 
 class TestThresholdConfig:
@@ -589,3 +608,219 @@ class TestOracleEquivalence:
         )
         assert set(kinds[first_held:finalized]) == {"held"}
         assert kinds[:first_held] == ["admitted"] * first_held
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("window", [1, 100, 500], ids=["window1", "default", "window500"])
+    @pytest.mark.parametrize(
+        "weights", [InfluenceWeights(), INTENSITY_ONLY], ids=["default", "intensity"]
+    )
+    def test_engine_matches_reference_on_storms(
+        self, lexicon, emoji_lexicon, seed, window, weights
+    ):
+        # 200 comments at troll rate 0.6: many held at once, so nearly every
+        # decision after the first holds is a screened re-test
+        config = SimulationConfig(window_size=window, weights=weights)
+        records, classified = storm_conversation(seed, lexicon, emoji_lexicon, config)
+        outcome = _simulate_conversation(
+            records, list(range(len(records))), classified, config, True, False
+        )
+        ref = reference_replay(records, classified, config, queue_enabled=True)
+        assert outcome.decisions == ref.decisions
+        assert "held" in {kind for _, kind in outcome.decisions}
+
+
+_GOVERNED_KINDS = [*GOVERNED_EMOTIONS, EmotionKind.SURPRISE]
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def screened_cases(draw):
+    """A random tree, window, weights, regime and a governed candidate."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    palette = [
+        EmotionVector.unit(EmotionKind.ANGER),
+        EmotionVector.unit(EmotionKind.JOY),
+        EmotionVector((0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        EmotionVector.zero(),
+    ]
+    vectors = st.one_of(
+        st.sampled_from(palette),
+        st.lists(_unit, min_size=8, max_size=8).map(EmotionVector),
+        # subnormal rows, where rounding errors are absolute
+        st.lists(st.integers(0, 3), min_size=8, max_size=8).map(
+            lambda ks: EmotionVector(k * 5e-324 for k in ks)
+        ),
+    )
+    comments = []
+    for i in range(n + 1):
+        vector = draw(vectors)
+        parent = None if i == 0 else f"n{draw(st.integers(min_value=0, max_value=i - 1))}"
+        if vector.is_zero:
+            kind, intensity = None, 0.0
+        else:
+            kind = draw(st.sampled_from(_GOVERNED_KINDS if i == n else list(EmotionKind)))
+            intensity = draw(st.floats(min_value=0.1, max_value=1.0))
+        comments.append(make_comment(f"n{i}", parent, float(i), kind, intensity, vector=vector))
+    raw = draw(st.sampled_from([(0.4, 0.2, 0.2, 0.2), (1.0, 0.0, 0.0, 0.0), None]))
+    if raw is None:
+        raw = draw(st.lists(_unit, min_size=4, max_size=4))
+        if sum(raw) == 0.0:
+            raw = [1.0, 0.0, 0.0, 0.0]
+        raw = [part / sum(raw) for part in raw]
+    weights = InfluenceWeights(*raw)
+    window = draw(st.integers(min_value=1, max_value=50))
+    base = draw(st.floats(min_value=30.0, max_value=90.0))
+    thresholds = ThresholdConfig(base={e: base for e in GOVERNED_EMOTIONS})
+    active = draw(st.booleans())
+    return comments, weights, window, thresholds, active
+
+
+class TestRetestScreen:
+    """The window-sum screen only ever rejects what the exact test rejects."""
+
+    @given(screened_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_screen_rejection_implies_exact_rejection(self, case):
+        comments, weights, window, thresholds, active = case
+        eng = Engine(
+            weights=weights, window_size=window, thresholds=thresholds, queue_enabled=False
+        )
+        for comment in comments[:-1]:
+            eng.submit(comment, now=comment.created_at)
+        eng._act_active = active
+        candidate = comments[-1]
+        if eng._screen_rejects(candidate, candidate.parent_id):
+            assert not eng._passes(candidate, candidate.parent_id, eng.processed_count)
+
+    def test_subnormal_board_is_deferred(self):
+        # the hypothetical window holds only subnormal vectors, where rounding
+        # errors are absolute, not relative: without its 2**-900 floor the
+        # screen rejected this comment, which the exact test admits
+        t = 5e-324
+        rows = [
+            ((0.0, 0.9333812082765152, 0, 0, 0, 0.861317802669013, 0, 0),
+             None, EmotionKind.SADNESS, 0.3512509889149448),
+            ((0, 0, 0, 0, 0.6215139002591755, 0.13538252956813634, 0, 0),
+             "n0", EmotionKind.FEAR, 0.5970854474741094),
+            ((0.46043610681860825, 0, 0, 0, 0, 0, 0.8153760228794953, 0),
+             "n0", EmotionKind.ANGER, 0.40019697457355974),
+            ((t, t, 2 * t, t, 0, 0, 0, 2 * t), "n1", EmotionKind.FEAR, 0.45692065861076536),
+            ((3 * t, t, 0, t, t, t, t, 3 * t), "n0", EmotionKind.SADNESS, 0.4917199143926062),
+        ]
+        comments = [
+            make_comment(f"n{i}", parent, float(i), kind, intensity, vector=EmotionVector(vec))
+            for i, (vec, parent, kind, intensity) in enumerate(rows)
+        ]
+        weights = InfluenceWeights(
+            0.40520489362130613, 0.3011271267073428, 0.29366797967135094, 0.0
+        )
+        eng = Engine(weights=weights, window_size=2, queue_enabled=False)
+        for comment in comments[:-1]:
+            eng.submit(comment, now=comment.created_at)
+        candidate = comments[-1]
+        assert eng._passes(candidate, "n0", eng.processed_count)
+        assert not eng._screen_rejects(candidate, "n0")
+
+    def test_screen_rejects_most_failing_storm_retests(self, lexicon, emoji_lexicon):
+        config = SimulationConfig()
+        records, classified = storm_conversation(3, lexicon, emoji_lexicon, config, 400)
+        eng = Engine()
+        outcomes = {"rejected": 0, "deferred_failing": 0}
+        screen = eng._screen_rejects
+
+        def audited(comment, parent_id):
+            rejected = screen(comment, parent_id)
+            exact = eng._passes(comment, parent_id, eng.processed_count)
+            assert not (rejected and exact)
+            if rejected:
+                outcomes["rejected"] += 1
+            elif not exact:
+                outcomes["deferred_failing"] += 1
+            return rejected
+
+        eng._screen_rejects = audited
+        for record, comment in zip(records, classified):
+            parent = comment.parent_id
+            defer = parent is not None and parent not in eng.entries and (
+                eng.graph is None or parent not in eng.graph
+            )
+            eng.submit(comment, now=record.created_at, defer_missing_parent=defer)
+        eng.finalize(records[-1].created_at)
+        assert outcomes["rejected"] > 1000
+        assert outcomes["deferred_failing"] <= outcomes["rejected"] // 100
+
+    @staticmethod
+    def tie_engine(vector, intensities):
+        """Every comment shares ``vector`` and replies to the root, so the
+        hypothetical shares equal the current ones mathematically."""
+        eng = Engine()
+        comments = [
+            make_comment(f"n{i}", None if i == 0 else "n0", float(i), EmotionKind.ANGER,
+                         intensity, vector=vector)
+            for i, intensity in enumerate(intensities)
+        ]
+        for comment in comments[:-1]:
+            assert eng.submit(comment, now=comment.created_at) is AdmissionDecision.ADMITTED
+        return eng, comments[-1]
+
+    @pytest.mark.parametrize(
+        "vector, intensities",
+        [
+            (EmotionVector.unit(EmotionKind.ANGER), (0.5, 0.8, 0.3)),
+            # this mix's screened total lands an ulp off; without the slack
+            # the screen would reject a comment the exact test admits
+            (EmotionVector((0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)), (0.64, 0.56, 0.73)),
+        ],
+        ids=["anger-only", "fixed-mix"],
+    )
+    def test_exact_tie_is_deferred_and_admitted(self, vector, intensities):
+        eng, candidate = self.tie_engine(vector, intensities)
+        anger = eng.board().get(EmotionKind.ANGER)
+        assert anger > eng.effective()[EmotionKind.ANGER]  # breached: the tie decides
+        assert not eng._screen_rejects(candidate, "n0")
+        assert eng._passes(candidate, "n0", eng.processed_count)
+        assert eng.submit(candidate, now=candidate.created_at) is AdmissionDecision.ADMITTED
+
+
+class _BoardAuditEngine(Engine):
+    """Checks the cached board against a fresh one after every operation."""
+
+    def _audit(self) -> None:
+        if self.graph is not None:
+            fresh = congraph.board(self.graph, self.window_size, self.weights)
+            assert self.board() == fresh
+            if self.log_decisions:
+                logged = self.decision_log[-1]["board_after"]
+                assert logged == {k: round(v, 6) for k, v in fresh.as_dict().items()}
+
+    def submit(self, *args, **kwargs):
+        decision = super().submit(*args, **kwargs)
+        self._audit()
+        return decision
+
+    def requeue_scan(self, now):
+        released = super().requeue_scan(now)
+        self._audit()
+        return released
+
+    def finalize(self, now):
+        outcomes = super().finalize(now)
+        self._audit()
+        return outcomes
+
+
+class TestWindowCache:
+    @pytest.mark.parametrize("window", [1, 100], ids=["window1", "default"])
+    def test_cached_board_matches_fresh_board(self, lexicon, emoji_lexicon, monkeypatch, window):
+        # a short idle timeout adds mid-stream finalize passes
+        config = SimulationConfig(window_size=window, idle_timeout=30.0)
+        records, classified = storm_conversation(1, lexicon, emoji_lexicon, config, 300)
+        tags = list(range(len(records)))
+        monkeypatch.setattr(harness, "Engine", _BoardAuditEngine)
+        logged = _simulate_conversation(records, tags, classified, config, True, True)
+        unlogged = _simulate_conversation(records, tags, classified, config, True, False)
+        assert logged.decisions == unlogged.decisions
+        kinds = {kind for _, kind in logged.decisions}
+        assert {"held", "suspended"} <= kinds
+        if window > 1:
+            assert "released" in kinds
