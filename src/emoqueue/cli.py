@@ -230,6 +230,8 @@ def _check_flags(args) -> None:
     kappa = getattr(args, "kappa", 1.0)
     if not 0.0 < kappa < math.inf:
         raise ConfigError(f"--kappa must be positive and finite, got {kappa}")
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.command != "prune-eval":
         return
     if not 0.0 <= args.influence_percentile <= 100.0:

@@ -17,8 +17,11 @@ the walk up the ancestors stops at the first ``d**k`` below ``2**-53``
 is exact, not an approximation: every weight starts at 1.0 and only grows,
 and half an ulp of any ``w >= 1`` is at least ``2**-53``, so each skipped add
 would round back to ``w`` and changes neither a weight nor the maximum
-weight. The public :func:`pagerank` operation runs the equivalent power
-iteration and is cross-checked against the cache in the test suite.
+weight. The weights are a Python list, not an array: the walk reads and
+writes one weight per step, and a Python float costs less there than a
+numpy scalar. Readers that need an array build one from the window slice.
+The public :func:`pagerank` operation runs the equivalent power iteration
+and is cross-checked against the cache in the test suite.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class ConversationGraph:
         self._replies: list[int] = []
         self._intensity = np.zeros(self._capacity)
         self._depth = np.zeros(self._capacity)
-        self._weight = np.zeros(self._capacity)
+        self._weight: list[float] = []
         self._log_replies = np.zeros(self._capacity)
         self._vectors = np.zeros((self._capacity, 8))
         self._max_weight = 1.0
@@ -176,7 +179,7 @@ class ConversationGraph:
 
     def _grow(self) -> None:
         new_cap = self._capacity * 2
-        for name in ("_intensity", "_depth", "_weight", "_log_replies"):
+        for name in ("_intensity", "_depth", "_log_replies"):
             old = getattr(self, name)
             fresh = np.zeros(new_cap)
             fresh[: self._n] = old[: self._n]
@@ -199,7 +202,7 @@ class ConversationGraph:
         self._replies.append(0)
         self._intensity[idx] = comment.intensity
         self._depth[idx] = 0.0 if parent_idx < 0 else self._depth[parent_idx] + 1.0
-        self._weight[idx] = 1.0
+        self._weight.append(1.0)
         self._log_replies[idx] = 0.0
         self._vectors[idx] = comment.vector
         self._n += 1
@@ -213,15 +216,17 @@ class ConversationGraph:
             weight = self._weight
             parent = self._parent
             damping = self._damping
+            max_weight = self._max_weight
             delta = damping
             anc = parent_idx
             while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
                 adjusted = weight[anc] + delta
                 weight[anc] = adjusted
-                if adjusted > self._max_weight:
-                    self._max_weight = adjusted
+                if adjusted > max_weight:
+                    max_weight = adjusted
                 delta *= damping
                 anc = parent[anc]
+            self._max_weight = max_weight
         return idx
 
     def add(self, comment: ClassifiedComment, parent_id: str | None = None) -> None:
@@ -238,7 +243,7 @@ class ConversationGraph:
 
     def pagerank_shares(self) -> np.ndarray:
         """Exact stationary PageRank per node, admission order. Sums to 1."""
-        w = self._weight[: self._n]
+        w = np.array(self._weight)
         return w / w.sum()
 
     def _ancestor_deltas(self, parent_idx: int) -> list[tuple[int, float]]:
@@ -379,17 +384,24 @@ def node_influence(
     return float(infl)
 
 
+def _window_weights(graph: ConversationGraph, start: int) -> np.ndarray:
+    """PageRank weights of rows ``[start, n)`` as an array (``fromiter`` with
+    a count skips the type scan that ``np.array`` makes over the list)."""
+    return np.fromiter(graph._weight[start:], float, graph._n - start)
+
+
 def _window_mass_totals(
     graph: ConversationGraph, window_size: int, weights: InfluenceWeights
 ) -> tuple[np.ndarray, float]:
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     n = graph._n
-    sl = slice(max(0, n - window_size), n)
+    start = max(0, n - window_size)
+    sl = slice(start, n)
     infl = graph._influence_terms(
         sl,
         weights,
-        graph._weight[sl],
+        _window_weights(graph, start),
         graph._log_replies[sl],
         graph._max_weight,
         graph._max_replies,
@@ -450,9 +462,7 @@ def _hypothetical_mass_totals(
 
     deltas = graph._ancestor_deltas(parent_idx)
     max_weight = graph._max_weight
-    weight_arr = graph._weight[sl]
-    if any(idx >= start for idx, _ in deltas):
-        weight_arr = weight_arr.copy()
+    weight_arr = _window_weights(graph, start)
     for idx, delta in deltas:
         adjusted = graph._weight[idx] + delta
         if adjusted > max_weight:
@@ -493,7 +503,7 @@ def _window_term_sums(graph: ConversationGraph, start: int) -> np.ndarray:
     terms = np.stack(
         (
             graph._intensity[sl],
-            graph._weight[sl],
+            _window_weights(graph, start),
             1.0 / (1.0 + graph._depth[sl]),
             graph._log_replies[sl],
         )

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -858,6 +859,13 @@ def _assemble(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replay(
     records: Sequence[RawRecord],
     config: SimulationConfig,
@@ -870,9 +878,12 @@ def _replay(
     """Replay the stream once per conversation and report each queue mode.
 
     Each conversation is classified once and replayed in every requested
-    mode (``True`` = with queue), serially or in a fork pool; the reports
-    merge conversations in stream order, so ``jobs`` never changes them.
+    mode (``True`` = with queue), serially or in a fork pool of
+    ``min(jobs, conversations, usable CPUs)`` workers; the reports merge
+    conversations in stream order, so ``jobs`` never changes them.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     lexicon = lexicon if lexicon is not None else _default_lexicon()
     emoji_lexicon = (
         emoji_lexicon if emoji_lexicon is not None else _default_emoji_lexicon()
@@ -884,10 +895,11 @@ def _replay(
     replay_one = partial(
         _replay_conversation, config, modes, lexicon, emoji_lexicon, log_decisions
     )
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             outcomes = pool.map(
-                replay_one, tasks, chunksize=max(1, len(tasks) // (jobs * 4))
+                replay_one, tasks, chunksize=max(1, len(tasks) // (workers * 4))
             )
     else:
         outcomes = [replay_one(task) for task in tasks]

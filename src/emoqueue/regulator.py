@@ -424,7 +424,7 @@ class Engine:
         else:
             patch_r, parent_vec = 0.0, _ZERO_VECTOR
         w = self.weights
-        coef_w = w.pagerank / float(max_weight)
+        coef_w = w.pagerank / max_weight
         coef_r = w.replies / math.log2(1.0 + max(graph._max_replies, parent_replies))
         cand = (
             w.intensity * comment.intensity

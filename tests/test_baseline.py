@@ -140,6 +140,9 @@ def score_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/score", _ScoreHandler
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestExternalClient:

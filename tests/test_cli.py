@@ -113,6 +113,8 @@ class TestSimulate:
             ("prune-eval", "--influence-percentile", "nan"),
             ("prune-eval", "--toxicity-floor", "nan"),
             ("prune-eval", "--text-only-floor", "2"),
+            ("simulate", "--jobs", "0"),
+            ("simulate", "--jobs", "-2"),
         ],
         ids=[
             "window_size=0", "rho=0", "rho=1.5", "idle_timeout=-5", "kappa=0",
@@ -120,7 +122,7 @@ class TestSimulate:
             "weight_intensity=nan", "decay_gamma=inf",
             "classify-kappa=0", "classify-kappa=nan", "prune-eval-kappa=-1",
             "prune-eval-kappa=inf", "influence-percentile=150", "influence-percentile=nan",
-            "toxicity-floor=nan", "text-only-floor=2",
+            "toxicity-floor=nan", "text-only-floor=2", "jobs=0", "jobs=-2",
         ],
     )
     def test_out_of_range_setting_exits_4(self, corpus, tmp_path, command):

@@ -417,6 +417,25 @@ class TestBoundedAncestorWalk:
         assert np.array_equal(g._weight[: len(g)], weight)
         assert g._max_weight == max_weight
 
+    def test_wide_star_max_weight_moves_off_root(self):
+        # a hub under the root takes 9 replies, so for a while it outweighs
+        # the root (1 + 0.85 * 7 > 1 + 0.85 * (1 + 0.85 * 7)); then the star
+        # widens under the root until the root is the heaviest again
+        comments = [make_comment("n0", None, 0.0), make_comment("hub", "n0", 1.0)]
+        comments += [make_comment(f"h{i}", "hub", 2.0 + i) for i in range(9)]
+        comments += [make_comment(f"s{i}", "n0", 20.0 + i) for i in range(300)]
+        g = ConversationGraph(comments[0])
+        parents = [-1]
+        heaviest = set()
+        for c in comments[1:]:
+            g.add(c)
+            parents.append(g._index[c.parent_id])
+            weight, max_weight = unbounded_weights(parents)
+            assert np.array_equal(g._weight, weight)
+            assert g._max_weight == max_weight
+            heaviest.add(int(np.argmax(weight)))
+        assert heaviest == {0, 1}
+
     @pytest.mark.parametrize("window", [1, 40, 100, 300])
     def test_hypothetical_board_matches_real_admission(self, window):
         comments = deep_tree_comments(np.random.default_rng([31, window]), 600)

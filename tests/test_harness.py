@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from emoqueue import harness
 from emoqueue.congraph import InfluenceWeights
 from emoqueue.emolex import EMOTION_NAMES, EmotionKind
 from emoqueue.harness import (
@@ -289,6 +290,48 @@ class TestRunWithQueue:
         serial = run_with_queue(records, jobs=1)
         parallel = run_with_queue(records, jobs=2)
         assert serial.to_dict() == parallel.to_dict()
+
+    @staticmethod
+    def fake_pool_context(monkeypatch):
+        """Replace the fork context with one whose pool records its size and
+        maps serially, so no worker process starts."""
+        requested: list[int] = []
+
+        class FakePool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(task) for task in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: FakeContext)
+        return requested
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
+    def test_pool_never_exceeds_conversations_or_cpus(self, monkeypatch, cpus, expected):
+        spec = SyntheticSpec(conversations=3, comments_per_conversation=20, troll_rate=0.3)
+        records = generate_synthetic(spec, 9)
+        serial = run_with_queue(records, jobs=1)
+        requested = self.fake_pool_context(monkeypatch)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        pooled = run_with_queue(records, jobs=1000)
+        assert requested == [expected]
+        assert pooled.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        records = generate_synthetic(SyntheticSpec(conversations=2, comments_per_conversation=5), 0)
+        with pytest.raises(ValueError, match="jobs"):
+            run_with_queue(records, jobs=jobs)
 
 
 class TestCompare:

@@ -628,6 +628,53 @@ class TestOracleEquivalence:
         assert outcome.decisions == ref.decisions
         assert "held" in {kind for _, kind in outcome.decisions}
 
+    @staticmethod
+    def reshaped_replay(lexicon, emoji_lexicon, troll_rate, reshape):
+        """Engine and reference decisions on one 300-comment conversation
+        after ``reshape`` rewrites its records."""
+        config = SimulationConfig()
+        spec = SyntheticSpec(
+            conversations=1, comments_per_conversation=300, troll_rate=troll_rate
+        )
+        records = reshape(generate_synthetic(spec, 4))
+        classified = [
+            classify_comment(
+                r.id, r.author, r.parent_id, r.created_at, r.text,
+                lexicon, emoji_lexicon, config.kappa,
+            )
+            for r in records
+        ]
+        outcome = _simulate_conversation(
+            records, list(range(len(records))), classified, config, True, False
+        )
+        ref = reference_replay(records, classified, config, queue_enabled=True)
+        return outcome.decisions, ref.decisions
+
+    @pytest.mark.parametrize("troll_rate", [0.15, 0.6])
+    def test_engine_matches_reference_on_wide_stars(self, lexicon, emoji_lexicon, troll_rate):
+        # every reply targets the root: one node with 299 children
+        def star(records):
+            root = records[0]
+            return [root] + [dataclasses.replace(r, parent_id=root.id) for r in records[1:]]
+
+        decisions, expected = self.reshaped_replay(lexicon, emoji_lexicon, troll_rate, star)
+        assert decisions == expected
+        assert "held" in {kind for _, kind in decisions}
+
+    @pytest.mark.parametrize("troll_rate", [0.15, 0.6])
+    def test_engine_matches_reference_on_equal_timestamps(
+        self, lexicon, emoji_lexicon, troll_rate
+    ):
+        # one created_at for the whole conversation: replay order falls to ids
+        def same_time(records):
+            return [dataclasses.replace(r, created_at=records[0].created_at) for r in records]
+
+        decisions, expected = self.reshaped_replay(
+            lexicon, emoji_lexicon, troll_rate, same_time
+        )
+        assert decisions == expected
+        assert "held" in {kind for _, kind in decisions}
+
 
 _GOVERNED_KINDS = [*GOVERNED_EMOTIONS, EmotionKind.SURPRISE]
 _unit = st.floats(min_value=0.0, max_value=1.0)
