@@ -39,7 +39,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_DAMPING = 0.85
 DEFAULT_WINDOW = 100
-# both ancestor walks stop below this: the add is an exact no-op on a weight >= 1
+# _append's walk and _admission_patch stop below this: the add is an exact
+# no-op on a weight >= 1
 _MIN_ANCESTOR_DELTA = 2.0**-53
 
 
@@ -89,14 +90,6 @@ class EmotionBoard:
     @property
     def is_zero(self) -> bool:
         return not any(self.percentages)
-
-
-@dataclass(frozen=True)
-class NodeMetrics:
-    depth: int
-    reply_count: int
-    pagerank: float
-    influence: float
 
 
 @dataclass(frozen=True)
@@ -212,7 +205,7 @@ class ConversationGraph:
             if self._replies[parent_idx] > self._max_replies:
                 self._max_replies = self._replies[parent_idx]
             # ancestors absorb the new leaf's walk mass: weight += damping^distance,
-            # with the same bound as _ancestor_deltas (no list: this is the hot path)
+            # with the same bound as _admission_patch (inline: this is the hot path)
             weight = self._weight
             parent = self._parent
             damping = self._damping
@@ -246,35 +239,52 @@ class ConversationGraph:
         w = np.array(self._weight)
         return w / w.sum()
 
-    def _ancestor_deltas(self, parent_idx: int) -> list[tuple[int, float]]:
-        """``(ancestor, damping**k)`` for the k-th ancestor of a new child of
-        ``parent_idx``, nearest first, while ``damping**k >= 2**-53``."""
-        out: list[tuple[int, float]] = []
-        parent = self._parent
-        damping = self._damping
-        delta = damping
-        anc = parent_idx
-        while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
-            out.append((anc, delta))
-            delta *= damping
-            anc = parent[anc]
-        return out
 
-    def _influence_terms(
-        self,
-        sl: slice,
-        weights: InfluenceWeights,
-        weight_arr: np.ndarray,
-        log_replies_arr: np.ndarray,
-        max_weight: float,
-        max_replies: int,
-    ) -> np.ndarray:
-        infl = weights.intensity * self._intensity[sl]
-        infl += weight_arr * (weights.pagerank / max_weight)
-        infl += weights.depth / (1.0 + self._depth[sl])
-        if max_replies > 0:
-            infl += log_replies_arr * (weights.replies / math.log2(1.0 + max_replies))
-        return infl
+def _influence(
+    weights: InfluenceWeights, intensity, weight, depth, log_replies, max_weight, max_replies
+):
+    """Influence of one row, or of a window's rows as arrays: intensity, PageRank
+    weight over the maximum, root proximity and log reply count over the maximum
+    (0 while nothing has replies), summed in this order so every caller rounds alike."""
+    infl = weights.intensity * intensity
+    infl += weight * (weights.pagerank / max_weight)
+    infl += weights.depth / (1.0 + depth)
+    if max_replies > 0:
+        infl += log_replies * (weights.replies / math.log2(1.0 + max_replies))
+    return infl
+
+
+def _candidate_influence(graph, weights, intensity, parent_idx, max_weight, max_replies):
+    """Influence of a candidate child of ``parent_idx``, a new leaf: weight 1,
+    one below its parent, no replies."""
+    depth = float(graph._depth[parent_idx]) + 1.0
+    return _influence(weights, intensity, 1.0, depth, 0.0, max_weight, max_replies)
+
+
+def _admission_patch(
+    graph: ConversationGraph, parent_idx: int, start: int
+) -> tuple[list[tuple[int, float]], float, int, int]:
+    """What admitting a child of ``parent_idx`` changes, without admitting it:
+    the ``(row, damping**k)`` bumps to the k-th ancestors in rows ``>= start``
+    (nearest first, while ``damping**k >= 2**-53``), the new maximum weight,
+    the parent's new reply count and the new maximum reply count."""
+    weight = graph._weight
+    parent = graph._parent
+    damping = graph._damping
+    max_weight = graph._max_weight
+    bumps: list[tuple[int, float]] = []
+    delta = damping
+    anc = parent_idx
+    while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
+        adjusted = weight[anc] + delta
+        if adjusted > max_weight:
+            max_weight = adjusted
+        if anc >= start:
+            bumps.append((anc, delta))
+        delta *= damping
+        anc = parent[anc]
+    parent_replies = graph._replies[parent_idx] + 1
+    return bumps, max_weight, parent_replies, max(graph._max_replies, parent_replies)
 
 
 def build_graph(
@@ -374,14 +384,9 @@ def node_influence(
     idx = graph._index.get(node_id)
     if idx is None:
         raise UnknownNodeError(node_id)
-    infl = weights.intensity * graph._intensity[idx]
-    infl += graph._weight[idx] * (weights.pagerank / graph._max_weight)
-    infl += weights.depth / (1.0 + graph._depth[idx])
-    if graph._max_replies > 0:
-        infl += graph._log_replies[idx] * (
-            weights.replies / math.log2(1.0 + graph._max_replies)
-        )
-    return float(infl)
+    return float(_influence(weights, graph._intensity[idx], graph._weight[idx],
+                            graph._depth[idx], graph._log_replies[idx],
+                            graph._max_weight, graph._max_replies))
 
 
 def _window_weights(graph: ConversationGraph, start: int) -> np.ndarray:
@@ -398,26 +403,11 @@ def _window_mass_totals(
     n = graph._n
     start = max(0, n - window_size)
     sl = slice(start, n)
-    infl = graph._influence_terms(
-        sl,
-        weights,
-        _window_weights(graph, start),
-        graph._log_replies[sl],
-        graph._max_weight,
-        graph._max_replies,
-    )
+    infl = _influence(weights, graph._intensity[sl], _window_weights(graph, start),
+                      graph._depth[sl], graph._log_replies[sl], graph._max_weight,
+                      graph._max_replies)
     mass = infl @ graph._vectors[sl]
     return mass, float(mass.sum())
-
-
-def window_masses(
-    graph: ConversationGraph,
-    window_size: int = DEFAULT_WINDOW,
-    weights: InfluenceWeights = InfluenceWeights(),
-) -> tuple[np.ndarray, float, int]:
-    """Influence-weighted emotion mass over the window: (mass[8], total, contributing)."""
-    mass, total = _window_mass_totals(graph, window_size, weights)
-    return mass, total, _contributing(graph, max(0, graph._n - window_size))
 
 
 def _contributing(graph: ConversationGraph, start: int) -> int:
@@ -440,7 +430,8 @@ def board(
     weights: InfluenceWeights = InfluenceWeights(),
 ) -> EmotionBoard:
     """Emotion board over the ``window_size`` most recently admitted nodes."""
-    mass, total, contributing = window_masses(graph, window_size, weights)
+    mass, total = _window_mass_totals(graph, window_size, weights)
+    contributing = _contributing(graph, max(0, graph._n - window_size))
     return _masses_to_board(mass, total, window_size, contributing)
 
 
@@ -459,36 +450,20 @@ def _hypothetical_mass_totals(
     n = graph._n
     start = max(0, n + 1 - window_size)
     sl = slice(start, n)
-
-    deltas = graph._ancestor_deltas(parent_idx)
-    max_weight = graph._max_weight
+    bumps, max_weight, parent_replies, max_replies = _admission_patch(graph, parent_idx, start)
     weight_arr = _window_weights(graph, start)
-    for idx, delta in deltas:
-        adjusted = graph._weight[idx] + delta
-        if adjusted > max_weight:
-            max_weight = adjusted
-        if idx >= start:
-            weight_arr[idx - start] = adjusted
-
-    parent_replies = graph._replies[parent_idx] + 1
-    max_replies = max(graph._max_replies, parent_replies)
+    for idx, delta in bumps:
+        weight_arr[idx - start] = graph._weight[idx] + delta
     log_replies_arr = graph._log_replies[sl]
     if parent_idx >= start:
         log_replies_arr = log_replies_arr.copy()
         log_replies_arr[parent_idx - start] = math.log2(1.0 + parent_replies)
-
-    infl = graph._influence_terms(
-        sl, weights, weight_arr, log_replies_arr, max_weight, max_replies
-    )
+    infl = _influence(weights, graph._intensity[sl], weight_arr, graph._depth[sl],
+                      log_replies_arr, max_weight, max_replies)
     mass = infl @ graph._vectors[sl]
-
-    cand_infl = (
-        weights.intensity * candidate.intensity
-        + weights.pagerank / max_weight
-        + weights.depth / (2.0 + graph._depth[parent_idx])
-    )
-    cand_vec = np.asarray(candidate.vector)
-    mass = mass + cand_infl * cand_vec
+    cand_infl = _candidate_influence(graph, weights, candidate.intensity, parent_idx,
+                                     max_weight, max_replies)
+    mass = mass + cand_infl * np.asarray(candidate.vector)
     return mass, float(mass.sum())
 
 
@@ -511,28 +486,6 @@ def _window_term_sums(graph: ConversationGraph, start: int) -> np.ndarray:
     return terms @ graph._vectors[sl]
 
 
-def hypothetical_masses(
-    graph: ConversationGraph,
-    window_size: int,
-    weights: InfluenceWeights,
-    candidate: ClassifiedComment,
-    parent_id: str,
-) -> tuple[np.ndarray, float, int]:
-    """Window masses as if ``candidate`` were admitted under ``parent_id`` now.
-
-    Evaluates the exact post-admission state (ancestor PageRank weights,
-    the parent's incremented reply count, window eviction) without mutating
-    the graph; a later real admission reproduces the same masses.
-    """
-    mass, total = _hypothetical_mass_totals(
-        graph, window_size, weights, candidate, parent_id
-    )
-    contributing = _contributing(graph, max(0, graph._n + 1 - window_size))
-    if not candidate.vector.is_zero:
-        contributing += 1
-    return mass, total, contributing
-
-
 def hypothetical_board(
     graph: ConversationGraph,
     window_size: int,
@@ -540,10 +493,16 @@ def hypothetical_board(
     candidate: ClassifiedComment,
     parent_id: str,
 ) -> EmotionBoard:
-    """Board as if ``candidate`` were admitted under ``parent_id`` right now."""
-    mass, total, contributing = hypothetical_masses(
-        graph, window_size, weights, candidate, parent_id
-    )
+    """Board as if ``candidate`` were admitted under ``parent_id`` right now.
+
+    Evaluates the exact post-admission state (ancestor PageRank weights,
+    the parent's incremented reply count, window eviction) without mutating
+    the graph; a later real admission reproduces the same masses.
+    """
+    mass, total = _hypothetical_mass_totals(graph, window_size, weights, candidate, parent_id)
+    contributing = _contributing(graph, max(0, graph._n + 1 - window_size))
+    if not candidate.vector.is_zero:
+        contributing += 1
     return _masses_to_board(mass, total, window_size, contributing)
 
 
@@ -621,56 +580,3 @@ def prune_influential_toxic(
         root_skipped=root_skipped,
     )
 
-
-def node_metrics(
-    graph: ConversationGraph,
-    node_id: str,
-    weights: InfluenceWeights = InfluenceWeights(),
-) -> NodeMetrics:
-    idx = graph._index.get(node_id)
-    if idx is None:
-        raise UnknownNodeError(node_id)
-    shares = graph.pagerank_shares()
-    return NodeMetrics(
-        depth=int(graph._depth[idx]),
-        reply_count=graph._replies[idx],
-        pagerank=float(shares[idx]),
-        influence=node_influence(graph, node_id, weights),
-    )
-
-
-def snapshot(
-    graph: ConversationGraph,
-    window_size: int = DEFAULT_WINDOW,
-    weights: InfluenceWeights = InfluenceWeights(),
-) -> dict:
-    """JSON-ready export of the graph and its board (floats rounded to 6 dp)."""
-    shares = graph.pagerank_shares()
-    nodes = []
-    for idx, node_id in enumerate(graph._ids):
-        comment = graph._comments[idx]
-        parent_idx = graph._parent[idx]
-        nodes.append(
-            {
-                "id": node_id,
-                "parent": None if parent_idx < 0 else graph._ids[parent_idx],
-                "timestamp": comment.created_at,
-                "vector": {k: round(v, 6) for k, v in comment.vector.as_dict().items()},
-                "dominant": comment.dominant.value if comment.dominant else None,
-                "intensity": round(comment.intensity, 6),
-                "metrics": {
-                    "depth": int(graph._depth[idx]),
-                    "replies": graph._replies[idx],
-                    "pagerank": round(float(shares[idx]), 6),
-                    "influence": round(node_influence(graph, node_id, weights), 6),
-                },
-            }
-        )
-    brd = board(graph, window_size, weights)
-    return {
-        "root": graph.root_id,
-        "orphans": graph.orphan_count,
-        "window_size": window_size,
-        "board": {k: round(v, 6) for k, v in brd.as_dict().items()},
-        "nodes": nodes,
-    }

@@ -53,7 +53,10 @@ is non-negative (vectors in [0, 1], mixing weights >= 0, PageRank weights
 per-emotion term sums over the hypothetical window ``[max(0, n+1-W), n)``,
 one (4 x rows) @ (rows x 8) product. Per entry it patches in the ancestors'
 ``damping**k`` bumps inside the window, the parent's new log-reply term,
-the new maximum weight and reply count, and the candidate's own mass.
+the new maximum weight and reply count, and the candidate's own mass. The
+screen and the exact test take that patch from one helper,
+``congraph._admission_patch``, and the candidate's influence from
+``congraph._candidate_influence``; only the summation order differs.
 ``requeue_scan`` and ``finalize`` reject an entry when some governed
 emotion fails both inequalities by the factor ``1 + tau``, with
 ``tau = 8 * (rows + 16) * u`` and ``u = 2**-53``; any other entry gets the
@@ -240,6 +243,10 @@ class Engine:
             raise ValueError("window_size must be >= 1")
         if not 0.0 < rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
+        if not 0.0 < damping < 1.0:
+            raise ValueError("damping must lie in (0, 1)")
+        if not 0.0 <= activity_cutoff < math.inf:
+            raise ValueError("activity_cutoff must be finite and >= 0")
         self.thresholds = thresholds or ThresholdConfig()
         self.weights = weights or InfluenceWeights()
         self.window_size = window_size
@@ -344,9 +351,6 @@ class Engine:
             state.logged = tuple(round(v, 6) for v in self.board().percentages)
         return state.logged
 
-    def effective(self) -> dict[EmotionKind, float]:
-        return dict(zip(GOVERNED_EMOTIONS, self._effective_tuple(self.processed_count)))
-
     def conservation_holds(self) -> bool:
         """processed == admitted + currently held + suspended."""
         return self.processed_count == (
@@ -406,30 +410,23 @@ class Engine:
         graph = self.graph
         assert graph is not None
         parent_idx = graph._index[parent_id]
-        weight = graph._weight
         comments = graph._comments
-        max_weight = graph._max_weight
+        bumps, max_weight, parent_replies, max_replies = congraph._admission_patch(
+            graph, parent_idx, start
+        )
         patch_w = [0.0] * 8
-        for idx, delta in graph._ancestor_deltas(parent_idx):
-            adjusted = weight[idx] + delta
-            if adjusted > max_weight:
-                max_weight = adjusted
-            if idx >= start:
-                patch_w = [p + delta * v for p, v in zip(patch_w, comments[idx].vector)]
-        parent_replies = graph._replies[parent_idx] + 1
-        log_replies = math.log2(1.0 + parent_replies)
+        for idx, delta in bumps:
+            patch_w = [p + delta * v for p, v in zip(patch_w, comments[idx].vector)]
         if parent_idx >= start:
-            patch_r = log_replies - float(graph._log_replies[parent_idx])
+            patch_r = math.log2(1.0 + parent_replies) - float(graph._log_replies[parent_idx])
             parent_vec = comments[parent_idx].vector
         else:
             patch_r, parent_vec = 0.0, _ZERO_VECTOR
         w = self.weights
         coef_w = w.pagerank / max_weight
-        coef_r = w.replies / math.log2(1.0 + max(graph._max_replies, parent_replies))
-        cand = (
-            w.intensity * comment.intensity
-            + coef_w
-            + w.depth / (2.0 + float(graph._depth[parent_idx]))
+        coef_r = w.replies / math.log2(1.0 + max_replies)
+        cand = congraph._candidate_influence(
+            graph, w, comment.intensity, parent_idx, max_weight, max_replies
         )
         hyp = [
             b + coef_w * (sw + pw) + coef_r * (sr + patch_r * pv) + cand * cv

@@ -229,7 +229,7 @@ class _ThresholdProbeEngine(Engine):
         if context is None:
             return
         eff, (cur_mass, cur_total) = context
-        post_mass, post_total, _ = congraph.window_masses(
+        post_mass, post_total = congraph._window_mass_totals(
             self.graph, self.window_size, self.weights
         )
         self.audited += 1

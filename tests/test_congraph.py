@@ -11,14 +11,14 @@ from emoqueue.congraph import (
     InfluenceWeights,
     StructuralError,
     UnknownNodeError,
+    _admission_patch,
+    _candidate_influence,
     board,
     build_graph,
     hypothetical_board,
     node_influence,
-    node_metrics,
     pagerank,
     prune_influential_toxic,
-    snapshot,
 )
 from emoqueue.emolex import EmotionKind
 
@@ -386,6 +386,14 @@ def unbounded_weights(parents: list[int], damping: float = 0.85) -> tuple[np.nda
     return weight, max_weight
 
 
+def wide_star_comments():
+    """A hub under the root takes 9 replies, then 300 replies go to the root."""
+    comments = [make_comment("n0", None, 0.0), make_comment("hub", "n0", 1.0)]
+    comments += [make_comment(f"h{i}", "hub", 2.0 + i) for i in range(9)]
+    comments += [make_comment(f"s{i}", "n0", 20.0 + i) for i in range(300)]
+    return comments
+
+
 class TestBoundedAncestorWalk:
     """Admission stops walking ancestors once damping**k < 2**-53; every
     skipped add is a floating-point no-op, so weights stay bit-identical."""
@@ -421,9 +429,7 @@ class TestBoundedAncestorWalk:
         # a hub under the root takes 9 replies, so for a while it outweighs
         # the root (1 + 0.85 * 7 > 1 + 0.85 * (1 + 0.85 * 7)); then the star
         # widens under the root until the root is the heaviest again
-        comments = [make_comment("n0", None, 0.0), make_comment("hub", "n0", 1.0)]
-        comments += [make_comment(f"h{i}", "hub", 2.0 + i) for i in range(9)]
-        comments += [make_comment(f"s{i}", "n0", 20.0 + i) for i in range(300)]
+        comments = wide_star_comments()
         g = ConversationGraph(comments[0])
         parents = [-1]
         heaviest = set()
@@ -449,6 +455,45 @@ class TestBoundedAncestorWalk:
         # matrix product, so the sums may round differently in the last bit
         assert hyp.percentages == pytest.approx(real.percentages, rel=0, abs=1e-12)
         assert hyp.contributing == real.contributing
+
+
+class TestAdmissionPatch:
+    """_admission_patch predicts, exactly, what each real admission changes."""
+
+    @pytest.mark.parametrize("window", [1, 40, 300])
+    @pytest.mark.parametrize("shape", ["deep-0", "deep-1", "wide-star"])
+    def test_patch_predicts_every_admission(self, shape, window):
+        if shape == "wide-star":
+            comments = wide_star_comments()
+        else:
+            seed = int(shape.split("-")[1])
+            comments = deep_tree_comments(np.random.default_rng([37, seed]), 600)
+        weights = InfluenceWeights()
+        g = ConversationGraph(comments[0])
+        for cand in comments[1:]:
+            n = len(g)
+            start = max(0, n + 1 - window)
+            parent_idx = g._index[cand.parent_id]
+            bumps, max_weight, parent_replies, max_replies = _admission_patch(
+                g, parent_idx, start
+            )
+            cand_infl = _candidate_influence(
+                g, weights, cand.intensity, parent_idx, max_weight, max_replies
+            )
+            old = list(g._weight)
+            g.add(cand)
+            assert g._max_weight == max_weight
+            assert g._max_replies == max_replies
+            assert g.reply_count_of(cand.parent_id) == parent_replies
+            assert all(start <= row < n for row, _ in bumps)
+            for row, delta in bumps:
+                assert g._weight[row] == old[row] + delta
+            # no row in the window changed without a bump
+            changed = {i for i in range(start, n) if g._weight[i] != old[i]}
+            assert changed <= {row for row, _ in bumps}
+            assert node_influence(g, cand.id, weights) == cand_infl
+        if shape != "wide-star":
+            assert max(g.depth_of(c.id) for c in comments) > 226
 
 
 class TestPrune:
@@ -507,21 +552,29 @@ class TestPrune:
 
 
 class TestSnapshot:
-    def test_metrics_exposed(self):
-        g = chain_graph()
-        metrics = node_metrics(g, "B")
-        assert metrics.depth == 1
-        assert metrics.reply_count == 1
-        assert 0 < metrics.pagerank <= 1
-        assert 0 <= metrics.influence <= 1
-
     def test_golden_snapshot(self):
+        # the chain fixture's structure, board, PageRank shares and influence,
+        # as 6-decimal golden values
         g = chain_graph()
-        snap = snapshot(g, window_size=100)
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        assert snap == golden
-
-    def test_snapshot_is_json_serializable(self):
-        g = chain_graph()
-        payload = json.dumps(snapshot(g), sort_keys=True)
-        assert "pagerank" in payload
+        assert (golden["root"], golden["orphans"]) == (g.root_id, g.orphan_count)
+        brd = board(g, golden["window_size"])
+        assert {k: round(v, 6) for k, v in brd.as_dict().items()} == golden["board"]
+        assert [node["id"] for node in golden["nodes"]] == g.ids()
+        shares = g.pagerank_shares()
+        for idx, node in enumerate(golden["nodes"]):
+            node_id = node["id"]
+            comment = g.comment(node_id)
+            assert node["parent"] == g.parent_of(node_id)
+            assert node["timestamp"] == comment.created_at
+            assert node["intensity"] == round(comment.intensity, 6)
+            assert node["dominant"] == comment.dominant.value
+            assert node["vector"] == {
+                k: round(v, 6) for k, v in comment.vector.as_dict().items()
+            }
+            assert node["metrics"] == {
+                "depth": g.depth_of(node_id),
+                "replies": g.reply_count_of(node_id),
+                "pagerank": round(float(shares[idx]), 6),
+                "influence": round(node_influence(g, node_id), 6),
+            }

@@ -94,33 +94,64 @@ class TestThresholdConfig:
             ThresholdConfig(ceiling={EmotionKind.ANGER: 120.0})
 
 
+def effective(eng: Engine) -> dict[EmotionKind, float]:
+    """The engine's effective thresholds now, by governed emotion."""
+    return dict(zip(GOVERNED_EMOTIONS, eng._effective_tuple(eng.processed_count)))
+
+
 class TestEffectiveThresholds:
     def test_quiet_at_start(self):
-        eff = Engine().effective()
+        eff = effective(Engine())
         assert eff[EmotionKind.ANGER] == 45.0
         assert eff[EmotionKind.FEAR] == 55.0
 
     def test_active_relaxes(self):
-        eff = active_engine(thresholds=no_decay_thresholds()).effective()
+        eff = effective(active_engine(thresholds=no_decay_thresholds()))
         assert eff[EmotionKind.ANGER] == 60.0
         assert eff[EmotionKind.FEAR] == 70.0
 
     def test_decay_saturates(self):
         # decay_scale=1 saturates the decay from the first processed comment
         eng = active_engine(thresholds=ThresholdConfig(decay_scale=1))
-        assert eng.effective()[EmotionKind.ANGER] == 55.0
+        assert effective(eng)[EmotionKind.ANGER] == 55.0
 
     def test_floor_clamps(self):
         eng = joy_engine([0.0], thresholds=ThresholdConfig(decay_gamma=30.0, decay_scale=1))
-        assert eng.effective()[EmotionKind.ANGER] == 30.0
+        assert effective(eng)[EmotionKind.ANGER] == 30.0
 
     def test_only_governed_emotions_present(self):
-        assert set(Engine().effective()) == {
+        assert set(effective(Engine())) == {
             EmotionKind.ANGER,
             EmotionKind.FEAR,
             EmotionKind.DISGUST,
             EmotionKind.SADNESS,
         }
+        assert len(Engine()._effective_tuple(0)) == len(GOVERNED_EMOTIONS)
+
+
+class TestEngineSettings:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"window_size": 0},
+            {"rho": 0.0},
+            {"rho": 1.5},
+            {"damping": 0.0},
+            {"damping": 1.0},
+            {"damping": float("nan")},
+            {"activity_cutoff": -1.0},
+            {"activity_cutoff": float("inf")},
+            {"activity_cutoff": float("nan")},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_setting_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            Engine(**kwargs)
+
+    def test_zero_activity_cutoff_accepted(self):
+        # a cutoff of 0 keeps every conversation quiet; the CLI accepts it too
+        assert Engine(activity_cutoff=0.0).activity_cutoff == 0.0
 
 
 class TestActivity:
@@ -823,7 +854,7 @@ class TestRetestScreen:
     def test_exact_tie_is_deferred_and_admitted(self, vector, intensities):
         eng, candidate = self.tie_engine(vector, intensities)
         anger = eng.board().get(EmotionKind.ANGER)
-        assert anger > eng.effective()[EmotionKind.ANGER]  # breached: the tie decides
+        assert anger > effective(eng)[EmotionKind.ANGER]  # breached: the tie decides
         assert not eng._screen_rejects(candidate, "n0")
         assert eng._passes(candidate, "n0", eng.processed_count)
         assert eng.submit(candidate, now=candidate.created_at) is AdmissionDecision.ADMITTED
