@@ -415,13 +415,17 @@ def _contributing(graph: ConversationGraph, start: int) -> int:
     return int(graph._vectors[start : graph._n].any(axis=1).sum())
 
 
+def _percentages(mass: np.ndarray, total: float) -> list[float]:
+    """Board percentages of window masses (all zero on a zero total)."""
+    if total <= 0.0:
+        return [0.0] * 8
+    return (mass * (100.0 / total)).tolist()
+
+
 def _masses_to_board(
     mass: np.ndarray, total: float, window_size: int, contributing: int
 ) -> EmotionBoard:
-    if total <= 0.0:
-        return EmotionBoard((0.0,) * 8, window_size, contributing)
-    pct = mass * (100.0 / total)
-    return EmotionBoard(tuple(float(p) for p in pct), window_size, contributing)
+    return EmotionBoard(tuple(_percentages(mass, total)), window_size, contributing)
 
 
 def board(

@@ -27,6 +27,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -49,6 +51,8 @@ from .ingest import RawRecord
 from .regulator import (
     DEFAULT_ACTIVITY_CUTOFF,
     DEFAULT_RHO,
+    GOVERNED_EMOTIONS,
+    DecisionRow,
     Engine,
     ThresholdConfig,
 )
@@ -541,7 +545,7 @@ class RunReport:
     config_hash: str
     conversations: int
     orphans: int
-    decision_log: list[dict] | None = None
+    decision_log: list[DecisionRow] | None = None
 
     def to_dict(self) -> dict:
         """The summary written to report.json; the per-admission series is
@@ -675,7 +679,7 @@ class _ConvOutcome:
     durations: list[float]
     final_board: tuple[float, ...]
     contributing: int
-    decision_log: list[dict] | None
+    decision_log: list[DecisionRow] | None
     decisions: list[tuple[str, str]]
 
 
@@ -826,14 +830,9 @@ def _assemble(
         spread = float(cumulative[-1, ANGER_IDX] + cumulative[-1, FEAR_IDX])
     else:
         spread = 0.0
-    decision_log: list[dict] | None = None
+    decision_log: list[DecisionRow] | None = None
     if outcomes and outcomes[0].decision_log is not None:
-        decision_log = []
-        for outcome in outcomes:
-            for record in outcome.decision_log or []:
-                record = dict(record)
-                record["event_seq"] = len(decision_log)
-                decision_log.append(record)
+        decision_log = list(chain.from_iterable(o.decision_log or () for o in outcomes))
     return RunReport(
         queue_enabled=queue_enabled,
         total=total,
@@ -1005,12 +1004,66 @@ def _write_histogram_csv(path: Path, durations: Sequence[float]) -> None:
 def _write_timeseries_csv(path: Path, report: RunReport) -> None:
     header = "event_seq,stream_index,comment_id,revised," + ",".join(EMOTION_NAMES)
     lines = [header]
-    for i, cid in enumerate(report.series_ids):
-        values = ",".join(f"{report.cumulative[i, j]:.6f}" for j in range(8))
-        lines.append(
-            f"{i},{report.series_tags[i]},{cid},{int(report.series_revised[i])},{values}"
-        )
+    values = ",".join(["%.6f"] * 8)
+    rows = zip(report.series_ids, report.series_tags, report.series_revised,
+               report.cumulative.tolist())
+    for i, (cid, tag, revised, cumulative) in enumerate(rows):
+        lines.append(f"{i},{tag},{cid},{int(revised)}," + values % tuple(cumulative))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _sorted_object(names: Sequence[str]) -> tuple[str, itemgetter]:
+    """A %-template for a JSON object keyed by ``names`` in sorted key order,
+    and the getter that puts values given in ``names`` order into that order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return "{" + ", ".join(f"{json.dumps(names[i])}: %s" for i in order) + "}", itemgetter(*order)
+
+
+_BOARD_OBJECT = _sorted_object(EMOTION_NAMES)
+_THRESHOLD_OBJECT = _sorted_object([e.value for e in GOVERNED_EMOTIONS])
+_ACTIVITY = {True: '"active"', False: '"quiet"'}
+
+
+def decision_lines(rows: Sequence[DecisionRow]) -> list[str]:
+    """decisions.log, one line per row.
+
+    Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of the
+    row as a record: ``event_seq`` (the row's position), ``comment_id``,
+    ``decision``, ``board_before`` and ``board_after`` keyed by emotion
+    name, ``eff_thresholds`` keyed by governed emotion and rounded to 6
+    decimals, ``activity`` ("active" or "quiet"), and ``hold_duration``
+    rounded to 6 decimals where the row has one. Boards are the engine's
+    rounded float tuples, written through ``repr``; each distinct board and
+    threshold tuple is formatted once.
+    """
+    board_template, board_order = _BOARD_OBJECT
+    threshold_template, threshold_order = _THRESHOLD_OBJECT
+    boards: dict[tuple[float, ...], str] = {}
+    thresholds: dict[tuple[float, ...], str] = {}
+
+    def board(values: tuple[float, ...]) -> str:
+        text = boards.get(values)
+        if text is None:
+            text = boards[values] = board_template % tuple(map(repr, board_order(values)))
+        return text
+
+    lines = []
+    for seq, row in enumerate(rows):
+        eff = thresholds.get(row.thresholds)
+        if eff is None:
+            eff = thresholds[row.thresholds] = threshold_template % tuple(
+                json.dumps(round(v, 6)) for v in threshold_order(row.thresholds)
+            )
+        line = (
+            f'{{"activity": {_ACTIVITY[row.active]}, "board_after": {board(row.board_after)}, '
+            f'"board_before": {board(row.board_before)}, '
+            f'"comment_id": {json.dumps(row.comment_id)}, '
+            f'"decision": "{row.decision}", "eff_thresholds": {eff}, "event_seq": {seq}'
+        )
+        if row.hold_duration is not None:
+            line += f', "hold_duration": {json.dumps(round(row.hold_duration, 6))}'
+        lines.append(line + "}")
+    return lines
 
 
 def _write_board_csv(path: Path, board: EmotionBoard) -> None:
@@ -1035,7 +1088,7 @@ def write_run_dir(report: RunReport, out_root: str | Path) -> Path:
         _write_timeseries_csv(run_dir / "emotion_timeseries.csv", report)
         _write_board_csv(run_dir / "final_board.csv", report.final_board)
         if report.decision_log is not None:
-            lines = [json.dumps(rec, sort_keys=True) for rec in report.decision_log]
+            lines = decision_lines(report.decision_log)
             (run_dir / "decisions.log").write_text(
                 "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
             )

@@ -43,8 +43,13 @@ every submission directly; nothing reads its thresholds or activity regime.
 
 Between two admissions the window does not change, so the engine builds
 what it reads from the window once per graph state and drops it on the next
-admission: the current masses, the board, the board as the decision log
-rounds it, and the sums the re-test screen patches.
+admission: the current masses, the board, the percentages rounded to 6
+decimals for the decision log, and the sums the re-test screen patches.
+The decision log is a list of ``DecisionRow``: one decision's
+``board_after`` is that state's rounded tuple, the same object as the next
+decision's ``board_before``, and ``thresholds`` is the memoised effective
+tuple. Rows are rendered to text only when the log is written
+(``harness.decision_lines``).
 
 Re-test screen. Every admission re-tests every held entry, and nearly all
 of them stay held. Influence is linear in its four terms and every summand
@@ -83,11 +88,11 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import congraph
 from .congraph import ConversationGraph, EmotionBoard, InfluenceWeights
-from .emolex import EMOTION_INDEX, EMOTION_NAMES, ClassifiedComment, EmotionKind
+from .emolex import EMOTION_INDEX, ClassifiedComment, EmotionKind
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +108,6 @@ POSITIVE_EMOTIONS: frozenset[EmotionKind] = frozenset(
 _GOVERNED_IDX: tuple[tuple[int, EmotionKind], ...] = tuple(
     (EMOTION_INDEX[e], e) for e in GOVERNED_EMOTIONS
 )
-_GOVERNED_NAMES: tuple[str, ...] = tuple(e.value for e in GOVERNED_EMOTIONS)
 
 ACTIVITY_RING = 20
 DEFAULT_ACTIVITY_CUTOFF = 60.0
@@ -209,9 +213,25 @@ class AdmissionRow:
     revised: bool
 
 
+class DecisionRow(NamedTuple):
+    """One logged decision. Boards are percentages in ``EMOTION_NAMES``
+    order, rounded to 6 decimals; ``thresholds`` are the effective
+    thresholds in ``GOVERNED_EMOTIONS`` order, unrounded; ``active`` is the
+    activity regime; ``hold_duration`` is set for releases and suspensions."""
+
+    comment_id: str
+    decision: str
+    board_before: tuple[float, ...]
+    board_after: tuple[float, ...]
+    thresholds: tuple[float, ...]
+    active: bool
+    hold_duration: float | None
+
+
 class _WindowState:
     """The window in one graph state, shared by every reader until the next
-    admission: masses, board, and the sums the re-test screen patches."""
+    admission: masses, board, the board rounded for the decision log, and the
+    sums the re-test screen patches."""
 
     __slots__ = ("mass", "total", "board", "logged", "screen")
 
@@ -270,7 +290,7 @@ class Engine:
         self._suspended_ids: set[str] = set()
         self.admissions: list[AdmissionRow] = []
         self.decisions: list[tuple[str, str]] = []
-        self.decision_log: list[dict] = []
+        self.decision_log: list[DecisionRow] = []
         self._last_now = float("-inf")
         self._state: _WindowState | None = None  # the window now; _admit drops it
         self._eff_memo: tuple = (None, ())  # ((processed, active), thresholds)
@@ -345,10 +365,11 @@ class Engine:
     def _logged_board(self) -> tuple[float, ...]:
         """Board percentages as the decision log writes them (6 decimals)."""
         if self.graph is None:
-            return (0.0,) * 8
+            return _ZERO_VECTOR
         state = self._window()
         if state.logged is None:
-            state.logged = tuple(round(v, 6) for v in self.board().percentages)
+            pct = congraph._percentages(state.mass, state.total)
+            state.logged = tuple([round(v, 6) for v in pct])
         return state.logged
 
     def conservation_holds(self) -> bool:
@@ -492,19 +513,17 @@ class Engine:
     ) -> None:
         if not self.log_decisions:
             return
-        eff = self._effective_tuple(self.processed_count)
-        record = {
-            "event_seq": len(self.decision_log),
-            "comment_id": comment_id,
-            "decision": decision,
-            "board_before": dict(zip(EMOTION_NAMES, board_before)),
-            "board_after": dict(zip(EMOTION_NAMES, self._logged_board())),
-            "eff_thresholds": {name: round(v, 6) for name, v in zip(_GOVERNED_NAMES, eff)},
-            "activity": "active" if self._act_active else "quiet",
-        }
-        if hold_duration is not None:
-            record["hold_duration"] = round(hold_duration, 6)
-        self.decision_log.append(record)
+        self.decision_log.append(
+            DecisionRow(
+                comment_id,
+                decision,
+                board_before,
+                self._logged_board(),
+                self._effective_tuple(self.processed_count),
+                self._act_active,
+                hold_duration,
+            )
+        )
 
     def _enqueue(
         self, comment: ClassifiedComment, parent_id: str | None, now: float

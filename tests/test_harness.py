@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emoqueue import harness
 from emoqueue.congraph import InfluenceWeights
@@ -15,6 +18,7 @@ from emoqueue.harness import (
     SimulationConfig,
     SyntheticSpec,
     compare,
+    decision_lines,
     generate_synthetic,
     parse_config_file,
     parse_spec_file,
@@ -28,6 +32,7 @@ from emoqueue.harness import (
     write_run_dir,
 )
 from emoqueue.emolex import classify
+from emoqueue.regulator import GOVERNED_EMOTIONS, DecisionRow
 
 from helpers import INTENSITY_ONLY, make_record
 from reference import reference_replay
@@ -436,3 +441,81 @@ class TestEmission:
         parsed = parse_jsonl(path)
         assert parsed.records == sorted(records, key=lambda r: (r.created_at, r.id))
         assert stream_hash(parsed.records) == stream_hash(records)
+
+
+def expanded_line(seq: int, row: DecisionRow) -> str:
+    """The row as a decisions.log record, through ``json.dumps``."""
+    record = {
+        "event_seq": seq,
+        "comment_id": row.comment_id,
+        "decision": row.decision,
+        "board_before": dict(zip(EMOTION_NAMES, row.board_before)),
+        "board_after": dict(zip(EMOTION_NAMES, row.board_after)),
+        "eff_thresholds": {
+            e.value: round(v, 6) for e, v in zip(GOVERNED_EMOTIONS, row.thresholds)
+        },
+        "activity": "active" if row.active else "quiet",
+    }
+    if row.hold_duration is not None:
+        record["hold_duration"] = round(row.hold_duration, 6)
+    return json.dumps(record, sort_keys=True)
+
+
+_percent = st.one_of(
+    st.sampled_from([0.0, 1e-07, 100.0]), st.floats(0.0, 100.0, allow_nan=False)
+)
+_comment_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "中", "😀", "\u200d"]
+        ),
+        st.characters(),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def decision_rows(draw):
+    # a small pool of boards, so rows share tuples as the engine's do
+    pool = draw(st.lists(st.tuples(*[_percent] * 8), min_size=1, max_size=4))
+    boards = st.sampled_from(pool)
+    thresholds = st.sampled_from(
+        draw(st.lists(st.tuples(*[_percent] * 4), min_size=1, max_size=3))
+    )
+    row = st.builds(
+        DecisionRow,
+        comment_id=_comment_ids,
+        decision=st.sampled_from(
+            ["admitted", "held", "released", "revised_released", "suspended"]
+        ),
+        board_before=boards,
+        board_after=boards,
+        thresholds=thresholds,
+        active=st.booleans(),
+        hold_duration=st.one_of(st.none(), st.floats(0.0, 1e6, allow_nan=False)),
+    )
+    return draw(st.lists(row, max_size=8))
+
+
+class TestDecisionLines:
+    @settings(max_examples=150, deadline=None)
+    @given(decision_rows())
+    def test_lines_equal_json_dumps_of_the_record(self, rows):
+        lines = decision_lines(rows)
+        assert lines == [expanded_line(seq, row) for seq, row in enumerate(rows)]
+
+    # SHA-256 of decisions.log on a fixed stream; a change to the log's
+    # fields or formatting updates these on purpose
+    DIGESTS = {
+        False: "c10c7fbaa75c845eb4e121e85d3412086189c1021bcf86de9655b82c5a37856c",
+        True: "6458f4a5a8d335547026e0cb1c429fa1ac7275e2085e31a5e2bc66713b325c76",
+    }
+
+    @pytest.mark.parametrize("queue_enabled", [False, True], ids=["queue-off", "queue-on"])
+    def test_decisions_log_digest(self, tmp_path, queue_enabled):
+        spec = SyntheticSpec(conversations=3, comments_per_conversation=60, troll_rate=0.3)
+        run = run_with_queue if queue_enabled else run_without_queue
+        report = run(generate_synthetic(spec, 5), log_decisions=True)
+        data = (write_run_dir(report, tmp_path) / "decisions.log").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[queue_enabled]

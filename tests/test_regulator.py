@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from emoqueue.harness import (
     DEFAULT_MIXTURE,
     SimulationConfig,
     SyntheticSpec,
+    decision_lines,
     generate_synthetic,
 )
 from emoqueue.harness import _simulate_conversation  # tested via its public callers too
@@ -47,8 +49,13 @@ def active_engine(gap: float = 1.0, **kwargs) -> Engine:
     return joy_engine([i * gap for i in range(20)], **kwargs)
 
 
+def logged_records(eng: Engine) -> list[dict]:
+    """The engine's decision log as decisions.log writes it, parsed back."""
+    return [json.loads(line) for line in decision_lines(eng.decision_log)]
+
+
 def logged_activity(eng: Engine) -> str:
-    return eng.decision_log[-1]["activity"]
+    return logged_records(eng)[-1]["activity"]
 
 
 def intensity_engine(**kwargs) -> Engine:
@@ -509,7 +516,7 @@ class TestGoldenDecisionLog:
                 "activity": "quiet",
             },
         ]
-        assert eng.decision_log == expected
+        assert logged_records(eng) == expected
 
 
 class TestIdleTimeout:
@@ -547,7 +554,7 @@ class TestDecisionLog:
         eng.submit(make_comment("x", "r", 1.0, EmotionKind.ANGER, 0.65), now=1.0)
         eng.submit(make_comment("j", "r", 2.0, EmotionKind.JOY, 0.9), now=2.0)
         eng.finalize(9.0)
-        log = eng.decision_log
+        log = logged_records(eng)
         assert [rec["decision"] for rec in log] == [
             "admitted",
             "held",
@@ -560,6 +567,48 @@ class TestDecisionLog:
         assert set(released["eff_thresholds"]) == {"anger", "fear", "disgust", "sadness"}
         assert released["activity"] in ("active", "quiet")
         assert 0.0 <= released["board_after"]["anger"] <= 100.0
+
+
+class TestLoggingOffCostsNothing:
+    """An unlogged engine builds nothing for the log: no window product
+    without a queue, and no rounded board with one."""
+
+    @staticmethod
+    def replay(eng: Engine, classified) -> Engine:
+        for comment in classified:
+            eng.submit(comment, now=comment.created_at, defer_missing_parent=True)
+        eng.finalize(classified[-1].created_at)
+        return eng
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name: str) -> list[int]:
+        calls = [0]
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_no_queue_unlogged_reads_no_window(self, lexicon, emoji_lexicon, monkeypatch):
+        _, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig())
+        calls = self.count_calls(monkeypatch, congraph, "_window_mass_totals")
+        eng = self.replay(Engine(queue_enabled=False, log_decisions=False), classified)
+        assert eng.admitted_count == 200
+        assert calls[0] == 0
+        self.replay(Engine(queue_enabled=False, log_decisions=True), classified)
+        assert calls[0] > 0  # the probe sees the logged engine's window reads
+
+    def test_queue_unlogged_rounds_no_board(self, lexicon, emoji_lexicon, monkeypatch):
+        _, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig())
+        calls = self.count_calls(monkeypatch, Engine, "_logged_board")
+        eng = self.replay(Engine(log_decisions=False), classified)
+        assert eng.ever_held_count > 0
+        assert calls[0] == 0
+        self.replay(Engine(log_decisions=True), classified)
+        assert calls[0] > 0
 
 
 class TestOracleEquivalence:
@@ -868,7 +917,8 @@ class _BoardAuditEngine(Engine):
             fresh = congraph.board(self.graph, self.window_size, self.weights)
             assert self.board() == fresh
             if self.log_decisions:
-                logged = self.decision_log[-1]["board_after"]
+                (line,) = decision_lines(self.decision_log[-1:])
+                logged = json.loads(line)["board_after"]
                 assert logged == {k: round(v, 6) for k, v in fresh.as_dict().items()}
 
     def submit(self, *args, **kwargs):
