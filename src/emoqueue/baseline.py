@@ -26,7 +26,7 @@ import numpy as np
 
 from . import congraph
 from .congraph import ConversationGraph, InfluenceWeights
-from .emolex import EmotionKind, Lexicon, tokenize
+from .emolex import EmotionKind, Lexicon, check_kappa, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +48,7 @@ class OfflineToxicityProxy:
     kind = "offline_proxy"
 
     def __init__(self, lexicon: Lexicon, kappa: float = DEFAULT_PROXY_KAPPA):
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        check_kappa(kappa)
         self._lexicon = lexicon
         self._kappa = kappa
 
@@ -211,13 +210,6 @@ class PolicyComparison:
     node_count: int
     influence_and_toxicity: PolicyOutcome
     toxicity_only: PolicyOutcome
-
-    def as_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "influence_and_toxicity": vars(self.influence_and_toxicity),
-            "toxicity_only": vars(self.toxicity_only),
-        }
 
 
 def compare_policies_corpus(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,8 +21,10 @@ from .baseline import ProviderError
 from .congraph import StructuralError
 from .emolex import (
     DEFAULT_EMOJI_LEXICON_PATH,
+    DEFAULT_KAPPA,
     DEFAULT_LEXICON_PATH,
     LexiconError,
+    check_kappa,
     classify_comment,
     load_emoji_lexicon,
     load_lexicon,
@@ -54,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify a JSONL stream")
     p_classify.add_argument("input")
     p_classify.add_argument("--out", default=None, help="output file (default stdout)")
-    p_classify.add_argument("--kappa", type=float, default=4.0)
+    p_classify.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     add_lexicon_flags(p_classify)
 
     p_sim = sub.add_parser("simulate", help="replay a stream into a run directory")
@@ -81,10 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("--endpoint", default=None)
     p_prune.add_argument("--key-env", default=None)
     p_prune.add_argument("--cache", default=None)
-    p_prune.add_argument("--influence-percentile", type=float, default=95.0)
-    p_prune.add_argument("--toxicity-floor", type=float, default=0.5)
-    p_prune.add_argument("--text-only-floor", type=float, default=0.8)
-    p_prune.add_argument("--kappa", type=float, default=4.0)
+    p_prune.add_argument(
+        "--influence-percentile", type=float, default=baseline.DEFAULT_INFLUENCE_PERCENTILE
+    )
+    p_prune.add_argument("--toxicity-floor", type=float, default=baseline.DEFAULT_TOXICITY_FLOOR)
+    p_prune.add_argument(
+        "--text-only-floor", type=float, default=baseline.DEFAULT_TEXT_ONLY_FLOOR
+    )
+    p_prune.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     add_lexicon_flags(p_prune)
     return parser
 
@@ -176,7 +181,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec = harness.parse_spec_file(args.spec) if args.spec else harness.SyntheticSpec()
-    records = harness.generate_synthetic(spec, args.seed)
+    try:
+        records = harness.generate_synthetic(spec, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     harness.write_jsonl(records, args.out or sys.stdout)
     return EXIT_OK
 
@@ -227,9 +235,11 @@ def _cmd_prune_eval(args) -> int:
 
 def _check_flags(args) -> None:
     """Non-finite or out-of-range numeric flags are config errors (exit 4)."""
-    kappa = getattr(args, "kappa", 1.0)
-    if not 0.0 < kappa < math.inf:
-        raise ConfigError(f"--kappa must be positive and finite, got {kappa}")
+    if hasattr(args, "kappa"):
+        try:
+            check_kappa(args.kappa)
+        except ValueError as exc:
+            raise ConfigError(f"--kappa: {exc}") from exc
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.command != "prune-eval":

@@ -56,6 +56,12 @@ class UnknownNodeError(GraphError):
     """An operation referenced a node id absent from the graph."""
 
 
+def check_window_size(window_size: int) -> None:
+    """Raise ValueError unless a board window of ``window_size`` is valid."""
+    if window_size < 1:
+        raise ValueError("window_size must be >= 1")
+
+
 @dataclass(frozen=True)
 class InfluenceWeights:
     """Mixing weights for the four influence terms; nonnegative, sum to 1."""
@@ -398,8 +404,6 @@ def _window_weights(graph: ConversationGraph, start: int) -> np.ndarray:
 def _window_mass_totals(
     graph: ConversationGraph, window_size: int, weights: InfluenceWeights
 ) -> tuple[np.ndarray, float]:
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
     n = graph._n
     start = max(0, n - window_size)
     sl = slice(start, n)
@@ -434,6 +438,7 @@ def board(
     weights: InfluenceWeights = InfluenceWeights(),
 ) -> EmotionBoard:
     """Emotion board over the ``window_size`` most recently admitted nodes."""
+    check_window_size(window_size)
     mass, total = _window_mass_totals(graph, window_size, weights)
     contributing = _contributing(graph, max(0, graph._n - window_size))
     return _masses_to_board(mass, total, window_size, contributing)
@@ -446,8 +451,6 @@ def _hypothetical_mass_totals(
     candidate: ClassifiedComment,
     parent_id: str,
 ) -> tuple[np.ndarray, float]:
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
     parent_idx = graph._index.get(parent_id)
     if parent_idx is None:
         raise UnknownNodeError(parent_id)
@@ -503,6 +506,7 @@ def hypothetical_board(
     the parent's incremented reply count, window eviction) without mutating
     the graph; a later real admission reproduces the same masses.
     """
+    check_window_size(window_size)
     mass, total = _hypothetical_mass_totals(graph, window_size, weights, candidate, parent_id)
     contributing = _contributing(graph, max(0, graph._n + 1 - window_size))
     if not candidate.vector.is_zero:

@@ -12,6 +12,7 @@ hits is neutral (zero vector, no dominant, intensity 0).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,6 +25,12 @@ DEFAULT_KAPPA = 4.0
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_LEXICON_PATH = _DATA_DIR / "core_lexicon.tsv"
 DEFAULT_EMOJI_LEXICON_PATH = _DATA_DIR / "emoji_emotions.tsv"
+
+
+def check_kappa(kappa: float) -> None:
+    """Raise ValueError unless ``kappa`` is positive and finite."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
 
 class LexiconError(Exception):
@@ -350,8 +357,7 @@ def classify(
     the dominant emotion is the argmax (ties broken by canonical order) and
     intensity is ``clamp(kappa * raw(dominant) / token_count, 0.1, 1.0)``.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    check_kappa(kappa)
     tokens = tokenize(text)
     raw = [0.0] * 8
     word_terms = lexicon.terms

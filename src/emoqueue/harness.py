@@ -25,7 +25,7 @@ import logging
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -41,8 +41,8 @@ from .emolex import (
     EMOTION_NAMES,
     ClassifiedComment,
     EmojiLexicon,
-    EmotionKind,
     Lexicon,
+    check_kappa,
     classify_comment,
     load_emoji_lexicon,
     load_lexicon,
@@ -55,6 +55,7 @@ from .regulator import (
     DecisionRow,
     Engine,
     ThresholdConfig,
+    check_engine_settings,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,73 +87,21 @@ class SimulationConfig:
     idle_timeout: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
+        check_engine_settings(self.window_size, self.rho, self.activity_cutoff)
+        check_kappa(self.kappa)
         if not 0.0 <= self.idle_timeout < math.inf:
             raise ValueError("idle_timeout must be finite and >= 0")
-        if not 0.0 <= self.activity_cutoff < math.inf:
-            raise ValueError("activity_cutoff must be finite and >= 0")
-
-    def as_dict(self) -> dict:
-        return {
-            "window_size": self.window_size,
-            "kappa": self.kappa,
-            "rho": self.rho,
-            "activity_cutoff": self.activity_cutoff,
-            "idle_timeout": self.idle_timeout,
-            "weights": {
-                "intensity": self.weights.intensity,
-                "pagerank": self.weights.pagerank,
-                "depth": self.weights.depth,
-                "replies": self.weights.replies,
-            },
-            "thresholds": {
-                "base": {e.value: v for e, v in sorted(self.thresholds.base.items())},
-                "floor": {e.value: v for e, v in sorted(self.thresholds.floor.items())},
-                "ceiling": {e.value: v for e, v in sorted(self.thresholds.ceiling.items())},
-                "active_relax": self.thresholds.active_relax,
-                "quiet_tighten": self.thresholds.quiet_tighten,
-                "decay_gamma": self.thresholds.decay_gamma,
-                "decay_scale": self.thresholds.decay_scale,
-            },
-        }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode("utf-8")
+        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
-
-
-_CONFIG_FLOAT_KEYS = {
-    "kappa",
-    "rho",
-    "activity_cutoff",
-    "idle_timeout",
-    "weight_intensity",
-    "weight_pagerank",
-    "weight_depth",
-    "weight_replies",
-    "threshold_anger",
-    "threshold_fear",
-    "threshold_disgust",
-    "threshold_sadness",
-    "active_relax",
-    "quiet_tighten",
-    "decay_gamma",
-    "threshold_floor",
-    "threshold_ceiling",
-}
-_CONFIG_INT_KEYS = {"window_size", "decay_scale"}
 
 
 def _parse_kv_file(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -165,54 +114,62 @@ def _parse_kv_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _field_types(cls, prefix: str = "") -> dict[str, type]:
+    """File keys for the fields of ``cls`` that have a plain default, each
+    with that default's type (a float field needs a float default)."""
+    return {prefix + f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
+
+
+def _typed_values(raw: Mapping[str, str], types: Mapping[str, type]) -> dict:
+    """``raw``'s values converted by their key's type; unknown keys are
+    reported before bad values."""
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown key(s): {sorted(unknown)}")
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = types[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {text!r}") from exc
+    return values
+
+
+# config-file keys that set one governed emotion's base threshold, and the
+# keys that set the floor or ceiling of all of them
+_BASE_KEYS = {f"threshold_{e.value}": e for e in GOVERNED_EMOTIONS}
+_BOUND_KEYS = {"threshold_floor": "floor", "threshold_ceiling": "ceiling"}
+
+
 def parse_config_file(path: str | Path) -> SimulationConfig:
     """Build a SimulationConfig from a line-oriented key=value file.
 
-    Unknown keys are hard errors; values are validated by the target types.
+    Unknown keys are hard errors; a key the file does not set keeps the
+    default of the type it belongs to, and the types validate the values.
     """
-    raw = _parse_kv_file(path)
-    known = _CONFIG_FLOAT_KEYS | _CONFIG_INT_KEYS
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    values: dict[str, float] = {}
-    for key, text in raw.items():
-        try:
-            values[key] = int(text) if key in _CONFIG_INT_KEYS else float(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {text!r}") from exc
+    top = _field_types(SimulationConfig)
+    weights = _field_types(InfluenceWeights, "weight_")
+    knobs = _field_types(ThresholdConfig)
+    values = _typed_values(
+        _parse_kv_file(path),
+        {**top, **weights, **knobs, **dict.fromkeys([*_BASE_KEYS, *_BOUND_KEYS], float)},
+    )
     try:
-        weights = InfluenceWeights(
-            intensity=values.get("weight_intensity", 0.4),
-            pagerank=values.get("weight_pagerank", 0.2),
-            depth=values.get("weight_depth", 0.2),
-            replies=values.get("weight_replies", 0.2),
-        )
-        base = {
-            EmotionKind.ANGER: values.get("threshold_anger", 50.0),
-            EmotionKind.FEAR: values.get("threshold_fear", 60.0),
-            EmotionKind.DISGUST: values.get("threshold_disgust", 60.0),
-            EmotionKind.SADNESS: values.get("threshold_sadness", 60.0),
-        }
-        floor_v = values.get("threshold_floor", 30.0)
-        ceil_v = values.get("threshold_ceiling", 90.0)
         thresholds = ThresholdConfig(
-            base=base,
-            active_relax=values.get("active_relax", 10.0),
-            quiet_tighten=values.get("quiet_tighten", 5.0),
-            decay_gamma=values.get("decay_gamma", 5.0),
-            decay_scale=int(values.get("decay_scale", 1000)),
-            floor={e: floor_v for e in base},
-            ceiling={e: ceil_v for e in base},
+            base={e: values[key] for key, e in _BASE_KEYS.items() if key in values},
+            **{
+                name: dict.fromkeys(GOVERNED_EMOTIONS, values[key])
+                for key, name in _BOUND_KEYS.items()
+                if key in values
+            },
+            **{key: values[key] for key in knobs if key in values},
         )
         return SimulationConfig(
-            window_size=int(values.get("window_size", congraph.DEFAULT_WINDOW)),
-            weights=weights,
+            weights=InfluenceWeights(
+                **{key[len("weight_"):]: values[key] for key in weights if key in values}
+            ),
             thresholds=thresholds,
-            kappa=values.get("kappa", DEFAULT_KAPPA),
-            rho=values.get("rho", DEFAULT_RHO),
-            activity_cutoff=values.get("activity_cutoff", DEFAULT_ACTIVITY_CUTOFF),
-            idle_timeout=values.get("idle_timeout", 3600.0),
+            **{key: values[key] for key in top if key in values},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -221,6 +178,7 @@ def parse_config_file(path: str | Path) -> SimulationConfig:
 # ---------------------------------------------------------------------------
 # synthetic corpora
 
+_MIXTURE_CATEGORIES: tuple[str, ...] = ("neutral", *EMOTION_NAMES)
 DEFAULT_MIXTURE: dict[str, float] = {
     "neutral": 0.70,
     "joy": 0.06,
@@ -284,64 +242,27 @@ class SyntheticSpec:
         if self.attachment not in ("preferential", "uniform"):
             raise ValueError(f"unknown attachment {self.attachment!r}")
         mixture = dict(self.mixture)
-        allowed = set(EMOTION_NAMES) | {"neutral"}
-        unknown = set(mixture) - allowed
+        unknown = set(mixture) - set(_MIXTURE_CATEGORIES)
         if unknown:
             raise ValueError(f"unknown mixture categories: {sorted(unknown)}")
-        if any(w < 0 for w in mixture.values()):
-            raise ValueError("mixture weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in mixture.values()):
+            raise ValueError("mixture weights must be nonnegative and finite")
         if abs(sum(mixture.values()) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "mixture", mixture)
 
-    def as_dict(self) -> dict:
-        return {
-            "conversations": self.conversations,
-            "comments_per_conversation": self.comments_per_conversation,
-            "troll_rate": self.troll_rate,
-            "mixture": dict(sorted(self.mixture.items())),
-            "inter_arrival_mean": self.inter_arrival_mean,
-            "attachment": self.attachment,
-            "contagion": self.contagion,
-        }
-
-
-_SPEC_INT_KEYS = {"conversations", "comments_per_conversation"}
-_SPEC_FLOAT_KEYS = {"troll_rate", "inter_arrival_mean", "contagion"}
-_SPEC_STR_KEYS = {"attachment"}
-
 
 def parse_spec_file(path: str | Path) -> SyntheticSpec:
-    """Build a SyntheticSpec from a key=value file (mix_* keys set the mixture)."""
-    raw = _parse_kv_file(path)
-    mixture = dict(DEFAULT_MIXTURE)
-    mix_given = False
-    kwargs: dict = {}
-    for key, text in raw.items():
-        if key in _SPEC_INT_KEYS:
-            try:
-                kwargs[key] = int(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {text!r}") from exc
-        elif key in _SPEC_FLOAT_KEYS:
-            try:
-                kwargs[key] = float(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {text!r}") from exc
-        elif key in _SPEC_STR_KEYS:
-            kwargs[key] = text
-        elif key.startswith("mix_"):
-            if not mix_given:
-                mixture = {}
-                mix_given = True
-            try:
-                mixture[key[4:]] = float(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {text!r}") from exc
-        else:
-            raise ConfigError(f"unknown spec key: {key}")
+    """Build a SyntheticSpec from a key=value file; ``mix_<category>`` keys
+    replace the whole mixture."""
+    mix_keys = {f"mix_{c}": float for c in _MIXTURE_CATEGORIES}
+    values = _typed_values(_parse_kv_file(path), {**_field_types(SyntheticSpec), **mix_keys})
+    kwargs = {key: v for key, v in values.items() if key not in mix_keys}
+    mixture = {key[len("mix_"):]: v for key, v in values.items() if key in mix_keys}
+    if mixture:
+        kwargs["mixture"] = mixture
     try:
-        return SyntheticSpec(mixture=mixture, **kwargs)
+        return SyntheticSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -369,6 +290,8 @@ def generate_synthetic(
     interleaves them. All randomness is drawn in a fixed bulk order per
     conversation, so corpora are stable for a given (spec, seed).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     lexicon = lexicon if lexicon is not None else _default_lexicon()
     pools = _single_emotion_pools(lexicon)
     fillers = [w for w in _FILLER_WORDS if w not in lexicon.terms]

@@ -132,38 +132,45 @@ class UnknownParentError(RegulatorError):
     """A submission referenced a parent the engine has never seen."""
 
 
-def _default_bases() -> dict[EmotionKind, float]:
-    return {
-        EmotionKind.ANGER: 50.0,
-        EmotionKind.FEAR: 60.0,
-        EmotionKind.DISGUST: 60.0,
-        EmotionKind.SADNESS: 60.0,
-    }
+# per governed emotion, in GOVERNED_EMOTIONS order: the thresholds a
+# ThresholdConfig keeps where its base, floor or ceiling names no value
+_DEFAULT_THRESHOLDS = {
+    "base": (50.0, 60.0, 60.0, 60.0),
+    "floor": (30.0,) * len(GOVERNED_EMOTIONS),
+    "ceiling": (90.0,) * len(GOVERNED_EMOTIONS),
+}
+
+
+def check_engine_settings(window_size: int, rho: float, activity_cutoff: float) -> None:
+    """Raise ValueError unless ``window_size``, ``rho`` and ``activity_cutoff``
+    are settings an Engine accepts."""
+    congraph.check_window_size(window_size)
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]")
+    if not 0.0 <= activity_cutoff < math.inf:
+        raise ValueError("activity_cutoff must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Board-percentage thresholds per governed emotion plus adjustment knobs."""
+    """Board-percentage thresholds per governed emotion plus adjustment knobs.
 
-    base: Mapping[EmotionKind, float] = field(default_factory=_default_bases)
+    ``base``, ``floor`` and ``ceiling`` may name only some governed emotions;
+    the others keep their defaults.
+    """
+
+    base: Mapping[EmotionKind, float] = field(default_factory=dict)
     active_relax: float = 10.0
     quiet_tighten: float = 5.0
     decay_gamma: float = 5.0
     decay_scale: int = 1000
-    floor: Mapping[EmotionKind, float] = field(
-        default_factory=lambda: {e: 30.0 for e in GOVERNED_EMOTIONS}
-    )
-    ceiling: Mapping[EmotionKind, float] = field(
-        default_factory=lambda: {e: 90.0 for e in GOVERNED_EMOTIONS}
-    )
+    floor: Mapping[EmotionKind, float] = field(default_factory=dict)
+    ceiling: Mapping[EmotionKind, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        merged_base = {**_default_bases(), **dict(self.base)}
-        merged_floor = {**{e: 30.0 for e in GOVERNED_EMOTIONS}, **dict(self.floor)}
-        merged_ceiling = {**{e: 90.0 for e in GOVERNED_EMOTIONS}, **dict(self.ceiling)}
-        object.__setattr__(self, "base", merged_base)
-        object.__setattr__(self, "floor", merged_floor)
-        object.__setattr__(self, "ceiling", merged_ceiling)
+        for name, defaults in _DEFAULT_THRESHOLDS.items():
+            merged = {**dict(zip(GOVERNED_EMOTIONS, defaults)), **dict(getattr(self, name))}
+            object.__setattr__(self, name, merged)
         if self.decay_scale < 1:
             raise ValueError("decay_scale must be >= 1")
         if not all(
@@ -171,10 +178,11 @@ class ThresholdConfig:
         ):
             raise ValueError("active_relax, quiet_tighten and decay_gamma must be finite")
         for e in GOVERNED_EMOTIONS:
-            if not 0.0 < merged_floor[e] <= merged_base[e] <= merged_ceiling[e] <= 100.0:
+            floor, base, ceiling = self.floor[e], self.base[e], self.ceiling[e]
+            if not 0.0 < floor <= base <= ceiling <= 100.0:
                 raise ValueError(
                     f"{e.value}: need 0 < floor <= base <= ceiling <= 100, got "
-                    f"{merged_floor[e]}/{merged_base[e]}/{merged_ceiling[e]}"
+                    f"{floor}/{base}/{ceiling}"
                 )
 
 
@@ -259,14 +267,9 @@ class Engine:
         queue_enabled: bool = True,
         log_decisions: bool = False,
     ):
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if not 0.0 < rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
+        check_engine_settings(window_size, rho, activity_cutoff)
         if not 0.0 < damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
-        if not 0.0 <= activity_cutoff < math.inf:
-            raise ValueError("activity_cutoff must be finite and >= 0")
         self.thresholds = thresholds or ThresholdConfig()
         self.weights = weights or InfluenceWeights()
         self.window_size = window_size

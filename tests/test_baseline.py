@@ -41,6 +41,12 @@ class TestOfflineProxy:
         proxy = OfflineToxicityProxy(lexicon)
         assert proxy.score("joy happy celebrate") == 0.0
 
+    @pytest.mark.parametrize("kappa", [0.0, -3.0, float("nan"), float("inf")])
+    def test_kappa_must_be_positive_and_finite(self, lexicon, kappa):
+        # a NaN kappa once scored every text 0
+        with pytest.raises(ValueError):
+            OfflineToxicityProxy(lexicon, kappa=kappa)
+
     def test_deterministic(self, lexicon):
         proxy = OfflineToxicityProxy(lexicon)
         text = "furious about the vile statement"

@@ -91,6 +91,11 @@ class TestSimulate:
         conf.write_text("not_a_key = 1\n", encoding="utf-8")
         assert run_cli("simulate", corpus, "--queue", "on", "--config", conf) == 4
 
+    def test_config_not_utf8_exits_4(self, corpus, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"kappa = \xff\xfe\n")
+        assert run_cli("simulate", corpus, "--queue", "on", "--config", conf) == 4
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -214,6 +219,23 @@ class TestSynth:
         spec = tmp_path / "spec.conf"
         spec.write_text("troll_rate = 2.0\n", encoding="utf-8")
         assert run_cli("synth", "--spec", spec) == 4
+
+    def test_nan_mixture_weight_exits_4(self, tmp_path):
+        spec = tmp_path / "spec.conf"
+        spec.write_text("mix_neutral = nan\nmix_joy = 1.0\n", encoding="utf-8")
+        out = tmp_path / "synthetic.jsonl"
+        assert run_cli("synth", "--spec", spec, "--out", out) == 4
+        assert not out.exists()
+
+    def test_spec_not_utf8_exits_4(self, tmp_path):
+        spec = tmp_path / "spec.conf"
+        spec.write_bytes(b"conversations = \xff\n")
+        assert run_cli("synth", "--spec", spec, "--out", tmp_path / "synthetic.jsonl") == 4
+
+    def test_negative_seed_exits_4(self, tmp_path):
+        out = tmp_path / "synthetic.jsonl"
+        assert run_cli("synth", "--seed", -1, "--out", out) == 4
+        assert not out.exists()
 
 
 class TestPruneEval:

@@ -290,6 +290,14 @@ class TestBoard:
         assert brd.get(EmotionKind.ANGER) == 0.0
         assert brd.get(EmotionKind.JOY) == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        g = chain_graph()
+        with pytest.raises(ValueError):
+            board(g, window)
+        with pytest.raises(ValueError):
+            hypothetical_board(g, window, InfluenceWeights(), make_comment("X", "A", 9.0), "A")
+
 
 class TestHypotheticalBoard:
     def test_neutral_candidate_identical_board(self):

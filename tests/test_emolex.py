@@ -226,8 +226,11 @@ class TestClassify:
         assert intensity == 0.1
 
     def test_kappa_must_be_positive(self):
-        with pytest.raises(ValueError):
-            classify("x", self.lex, self.emoji, kappa=0.0)
+        # NaN and infinity once passed a ``kappa <= 0`` check and gave every
+        # emotive comment intensity 0.1 (NaN) or 1.0 (infinity)
+        for kappa in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                classify("x", self.lex, self.emoji, kappa=kappa)
 
     def test_deterministic(self, lexicon, emoji_lexicon):
         text = "furious about the vile update 😡 #rage"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,28 @@ from reference import reference_replay
 
 ANGER = EMOTION_NAMES.index("anger")
 FEAR = EMOTION_NAMES.index("fear")
+
+
+ALL_KEYS_CONFIG = """window_size = 80
+kappa = 3.5
+rho = 0.4
+activity_cutoff = 45
+idle_timeout = 1800
+weight_intensity = 0.3
+weight_pagerank = 0.3
+weight_depth = 0.2
+weight_replies = 0.2
+threshold_anger = 45
+threshold_fear = 55
+threshold_disgust = 58
+threshold_sadness = 62
+active_relax = 8
+quiet_tighten = 4
+decay_gamma = 6
+decay_scale = 900
+threshold_floor = 25
+threshold_ceiling = 85
+"""
 
 
 class TestConfigFiles:
@@ -89,6 +112,38 @@ class TestConfigFiles:
         path.write_text("trolls = 4\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             parse_spec_file(path)
+
+    def test_unknown_key_reported_before_bad_value(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("kappa = fast\nwindow_sizes = 50\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="window_sizes"):
+            parse_config_file(path)
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme[readme.index("**Config file**") :].split("```\n")[1]
+        path = tmp_path / "readme.conf"
+        path.write_text(block, encoding="utf-8")
+        config = parse_config_file(path)
+        assert config == SimulationConfig()
+        assert config.config_hash() == SimulationConfig().config_hash()
+
+    # run ids derive from these digests, so a change to the hashed layout
+    # would rename every run directory
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("", "5b49fc9acd0af61fd397357462d5b7379d70fa717c9952814d4a050899120794"),
+            (ALL_KEYS_CONFIG, "786cd63a6de8a86b75dce390f79479d94004362bad8832ee059285a5b646d21e"),
+            ("window_size = 50\nkappa = 3.0\n", "25a892b8182a01520c153429563174407a3e26746927a5267166a2e03c5fab2e"),
+            ("threshold_anger = 55\nthreshold_floor = 20\n", "382355cf8ef5f0b9107b6f65ffd0f9f2cee795b046cf05bcaf54c789eafbc004"),
+        ],
+        ids=["defaults", "all-keys", "window-kappa", "anger-floor"],
+    )
+    def test_config_hash_pinned(self, tmp_path, text, digest):
+        path = tmp_path / "run.conf"
+        path.write_text(text, encoding="utf-8")
+        assert parse_config_file(path).config_hash() == digest
 
     def test_config_hash_stable_and_sensitive(self):
         a = SimulationConfig()
@@ -165,6 +220,14 @@ class TestGenerateSynthetic:
             SyntheticSpec(mixture={"neutral": 0.7, "joy": 0.7})
         with pytest.raises(ValueError):
             SyntheticSpec(attachment="sideways")
+        for weight in (float("nan"), float("inf")):
+            # NaN passes both ``w < 0`` and ``abs(sum - 1) > 1e-9``
+            with pytest.raises(ValueError):
+                SyntheticSpec(mixture={"neutral": weight, "joy": 1.0})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            generate_synthetic(SyntheticSpec(conversations=1, comments_per_conversation=5), -1)
 
 
 def neutral_stream(n=6):
