@@ -212,6 +212,19 @@ class PolicyComparison:
     toxicity_only: PolicyOutcome
 
 
+def check_policy_settings(
+    influence_percentile: float, toxicity_floor: float, text_only_floor: float
+) -> None:
+    """Raise ValueError unless the influence percentile lies in [0, 100] and
+    both toxicity floors in [0, 1], the range of a provider's scores (NaN lies
+    in neither)."""
+    if not 0.0 <= influence_percentile <= 100.0:
+        raise ValueError(f"influence percentile must lie in [0, 100], got {influence_percentile}")
+    for name, floor in (("toxicity floor", toxicity_floor), ("text-only floor", text_only_floor)):
+        if not 0.0 <= floor <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {floor}")
+
+
 def compare_policies_corpus(
     graphs: Sequence[ConversationGraph],
     provider,
@@ -227,8 +240,10 @@ def compare_policies_corpus(
     each graph's influence scores) AND toxicity; policy B is text-only, using
     toxicity alone at a stricter floor since it cannot see engagement.
     Detected/removed fractions are pooled over all nodes; the reduction is
-    pooled removed toxic mass over pooled total toxic mass.
+    pooled removed toxic mass over pooled total toxic mass. Settings outside
+    ``check_policy_settings`` raise ValueError.
     """
+    check_policy_settings(influence_percentile, toxicity_floor, text_only_floor)
     total_nodes = 0
     det = {"a": 0, "b": 0}
     rem = {"a": 0, "b": 0}

@@ -244,16 +244,12 @@ def _check_flags(args) -> None:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.command != "prune-eval":
         return
-    if not 0.0 <= args.influence_percentile <= 100.0:
-        raise ConfigError(
-            f"--influence-percentile must lie in [0, 100], got {args.influence_percentile}"
+    try:
+        baseline.check_policy_settings(
+            args.influence_percentile, args.toxicity_floor, args.text_only_floor
         )
-    for flag, value in (
-        ("--toxicity-floor", args.toxicity_floor),
-        ("--text-only-floor", args.text_only_floor),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{flag} must lie in [0, 1], got {value}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -267,28 +267,62 @@ def _candidate_influence(graph, weights, intensity, parent_idx, max_weight, max_
     return _influence(weights, intensity, 1.0, depth, 0.0, max_weight, max_replies)
 
 
-def _admission_patch(
-    graph: ConversationGraph, parent_idx: int, start: int
-) -> tuple[list[tuple[int, float]], float, int, int]:
-    """What admitting a child of ``parent_idx`` changes, without admitting it:
-    the ``(row, damping**k)`` bumps to the k-th ancestors in rows ``>= start``
-    (nearest first, while ``damping**k >= 2**-53``), the new maximum weight,
-    the parent's new reply count and the new maximum reply count."""
-    weight = graph._weight
+def _ancestor_chain(
+    graph: ConversationGraph, parent_idx: int
+) -> tuple[tuple[int, float], ...]:
+    """The ``(row, damping**k)`` pairs a child of ``parent_idx`` would bump,
+    as ``_admission_patch`` walks them, for callers that keep them: rows fall
+    along the chain, and the chain never changes once the parent is admitted.
+    A tuple, so that the garbage collector stops tracking a kept chain."""
     parent = graph._parent
     damping = graph._damping
-    max_weight = graph._max_weight
-    bumps: list[tuple[int, float]] = []
+    chain = []
     delta = damping
     anc = parent_idx
     while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
-        adjusted = weight[anc] + delta
-        if adjusted > max_weight:
-            max_weight = adjusted
-        if anc >= start:
-            bumps.append((anc, delta))
+        chain.append((anc, delta))
         delta *= damping
         anc = parent[anc]
+    return tuple(chain)
+
+
+def _admission_patch(
+    graph: ConversationGraph,
+    parent_idx: int,
+    start: int,
+    chain: tuple[tuple[int, float], ...] | None = None,
+) -> tuple[Sequence[tuple[int, float]], float, int, int]:
+    """What admitting a child of ``parent_idx`` changes, without admitting it:
+    the ``(row, damping**k)`` bumps to the k-th ancestors in rows ``>= start``
+    (nearest first, while ``damping**k >= 2**-53``), the new maximum weight,
+    the parent's new reply count and the new maximum reply count. A caller
+    that keeps the parent's ``_ancestor_chain`` passes it as ``chain`` and
+    gets its head as the bumps; otherwise the ancestors are walked."""
+    weight = graph._weight
+    max_weight = graph._max_weight
+    if chain is None:
+        parent = graph._parent
+        damping = graph._damping
+        bumps: list[tuple[int, float]] = []
+        delta = damping
+        anc = parent_idx
+        while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
+            adjusted = weight[anc] + delta
+            if adjusted > max_weight:
+                max_weight = adjusted
+            if anc >= start:
+                bumps.append((anc, delta))
+            delta *= damping
+            anc = parent[anc]
+    else:
+        cut = 0
+        for anc, delta in chain:
+            adjusted = weight[anc] + delta
+            if adjusted > max_weight:
+                max_weight = adjusted
+            if anc >= start:
+                cut += 1
+        bumps = chain[:cut]
     parent_replies = graph._replies[parent_idx] + 1
     return bumps, max_weight, parent_replies, max(graph._max_replies, parent_replies)
 
@@ -402,14 +436,20 @@ def _window_weights(graph: ConversationGraph, start: int) -> np.ndarray:
 
 
 def _window_mass_totals(
-    graph: ConversationGraph, window_size: int, weights: InfluenceWeights
+    graph: ConversationGraph,
+    window_size: int,
+    weights: InfluenceWeights,
+    weight_arr: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
+    """Masses and total of the window; ``weight_arr`` may pass in the window's
+    PageRank weights (``_window_weights`` from its first row)."""
     n = graph._n
     start = max(0, n - window_size)
     sl = slice(start, n)
-    infl = _influence(weights, graph._intensity[sl], _window_weights(graph, start),
-                      graph._depth[sl], graph._log_replies[sl], graph._max_weight,
-                      graph._max_replies)
+    if weight_arr is None:
+        weight_arr = _window_weights(graph, start)
+    infl = _influence(weights, graph._intensity[sl], weight_arr, graph._depth[sl],
+                      graph._log_replies[sl], graph._max_weight, graph._max_replies)
     mass = infl @ graph._vectors[sl]
     return mass, float(mass.sum())
 
@@ -450,7 +490,11 @@ def _hypothetical_mass_totals(
     weights: InfluenceWeights,
     candidate: ClassifiedComment,
     parent_id: str,
+    weight_arr: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
+    """Masses and total as if ``candidate`` were admitted under ``parent_id``;
+    ``weight_arr`` may pass in the PageRank weights of the hypothetical
+    window's old rows, which it does not modify."""
     parent_idx = graph._index.get(parent_id)
     if parent_idx is None:
         raise UnknownNodeError(parent_id)
@@ -458,7 +502,10 @@ def _hypothetical_mass_totals(
     start = max(0, n + 1 - window_size)
     sl = slice(start, n)
     bumps, max_weight, parent_replies, max_replies = _admission_patch(graph, parent_idx, start)
-    weight_arr = _window_weights(graph, start)
+    if weight_arr is None:
+        weight_arr = _window_weights(graph, start)
+    elif bumps:
+        weight_arr = weight_arr.copy()
     for idx, delta in bumps:
         weight_arr[idx - start] = graph._weight[idx] + delta
     log_replies_arr = graph._log_replies[sl]
@@ -474,21 +521,19 @@ def _hypothetical_mass_totals(
     return mass, float(mass.sum())
 
 
-def _window_term_sums(graph: ConversationGraph, start: int) -> np.ndarray:
-    """Emotion sums of the four influence terms over rows ``[start, n)``.
+def _window_term_sums(
+    graph: ConversationGraph, start: int, weight_arr: np.ndarray
+) -> np.ndarray:
+    """Emotion sums of the four influence terms over rows ``[start, n)``, whose
+    PageRank weights are ``weight_arr``.
 
     Rows of the (4, 8) result: intensity, PageRank weight, ``1 / (1 + depth)``
     and log reply count, each times the row's vector, before the mixing
     weights and the maxima scale them.
     """
     sl = slice(start, graph._n)
-    terms = np.stack(
-        (
-            graph._intensity[sl],
-            _window_weights(graph, start),
-            1.0 / (1.0 + graph._depth[sl]),
-            graph._log_replies[sl],
-        )
+    terms = np.array(
+        (graph._intensity[sl], weight_arr, 1.0 / (1.0 + graph._depth[sl]), graph._log_replies[sl])
     )
     return terms @ graph._vectors[sl]
 

@@ -28,22 +28,26 @@ Protocol, in full (the cache-free reference in the test suite mirrors it):
   current percentages coincide mathematically (e.g. a single-emotion board),
   so the decision never hinges on division rounding.
 * Every admission appends the event time to the activity ring and triggers
-  one re-evaluation pass over the queue: entries are ordered by the current
-  board percentage of their dominant emotion ascending (neutral counts as
-  0), then enqueue time, then id; each passing entry is admitted immediately
-  (mutating the board) before the next is tested. Releases during a pass do
-  not start nested passes.
-* finalize() makes one pass in the same priority order over the remaining
-  queue: each entry is revised (intensity halved by ``rho``, floored at
-  0.1), re-tested once, and either released or terminally suspended.
-  Admissions inside finalize do not trigger re-evaluation passes.
+  one re-evaluation pass over the held entries whose parent is published:
+  they are ordered by the current board percentage of their dominant emotion
+  ascending (neutral counts as 0), then enqueue time, then id; each passing
+  entry is admitted immediately (mutating the board) before the next is
+  tested. Releases during a pass do not start nested passes, and the order
+  is fixed when the pass starts: an entry whose parent is released during
+  the pass is tested in it only if it sorts after the parent.
+* finalize() makes one pass in the same priority order over every held
+  entry: each is revised (intensity halved by ``rho``, floored at 0.1) and
+  re-tested once if its parent is published, then either released or
+  terminally suspended. Admissions inside finalize do not trigger
+  re-evaluation passes.
 
 A queue-disabled engine (the no-queue condition of paired runs) admits
 every submission directly; nothing reads its thresholds or activity regime.
 
 Between two admissions the window does not change, so the engine builds
 what it reads from the window once per graph state and drops it on the next
-admission: the current masses, the board, the percentages rounded to 6
+admission: the window's PageRank weights (which the exact test and the
+screen slice), the current masses, the board, the percentages rounded to 6
 decimals for the decision log, and the sums the re-test screen patches.
 The decision log is a list of ``DecisionRow``: one decision's
 ``board_after`` is that state's rounded tuple, the same object as the next
@@ -51,22 +55,46 @@ decision's ``board_before``, and ``thresholds`` is the memoised effective
 tuple. Rows are rendered to text only when the log is written
 (``harness.decision_lines``).
 
-Re-test screen. Every admission re-tests every held entry, and nearly all
+The queue. A held entry whose parent is not published waits, parked under
+the parent's id, outside the order; it joins when the parent is admitted,
+by a submission or a release. The others sit in one bucket per dominant
+emotion (or none), each in (enqueue time, id) order, and a pass merges the
+buckets by the board's current share, falling back to (enqueue time, id)
+between buckets of equal share. ``QueueEntry.reeval_count`` counts the
+times an entry was screened or tested; a parked entry is neither.
+
+Re-test screen. Every admission re-tests the held entries, and nearly all
 of them stay held. Influence is linear in its four terms and every summand
 is non-negative (vectors in [0, 1], mixing weights >= 0, PageRank weights
 >= 1, log reply counts >= 0). So per graph state the engine keeps the four
 per-emotion term sums over the hypothetical window ``[max(0, n+1-W), n)``,
 one (4 x rows) @ (rows x 8) product. Per entry it patches in the ancestors'
 ``damping**k`` bumps inside the window, the parent's new log-reply term,
-the new maximum weight and reply count, and the candidate's own mass. The
-screen and the exact test take that patch from one helper,
-``congraph._admission_patch``, and the candidate's influence from
-``congraph._candidate_influence``; only the summation order differs.
-``requeue_scan`` and ``finalize`` reject an entry when some governed
-emotion fails both inequalities by the factor ``1 + tau``, with
+the new maximum weight and reply count, and the candidate's own mass, as
+``congraph._admission_patch`` and ``congraph._candidate_influence`` state
+them for the exact test; only the summation order differs. ``requeue_scan``
+and ``finalize`` reject an entry when, for some governed emotion, the mass
+exceeds ``(1 + tau) * max(eff_e / 100, c_e / T_cur)`` of the total, that
+is, fails both inequalities by the factor ``1 + tau``, with
 ``tau = 8 * (rows + 16) * u`` and ``u = 2**-53``; any other entry gets the
 exact test, so every decision is the exact path's. ``submit`` is exact
 only, since most submitted comments pass.
+
+The screen comes in two forms that compute the same patches. A published
+comment's ancestor chain (``congraph._ancestor_chain``) never changes, so
+the engine builds it once, when the screen first meets a held child of it;
+per graph state only the weights along it, the maxima and the window start
+are read. ``_screen_one`` screens one entry in scalars. ``_HeldScreen``
+keeps one array row per held entry the exact test can fail, filed as
+entries join and dropped as they leave, and screens every row a pass has
+left in one held x 8 array expression. A pass screens the first
+``_SCREEN_ALONE`` entries of each graph state one at a time, and the rest
+at once if ``_SCREEN_BATCH_MIN`` or more are left: the array expression
+costs about as much as five single screens, and the first entries of a
+pass, the least represented, are the likeliest to pass and so to end the
+state. The entry right after a release skips the screen: it sorts next to
+the entry just released, and in a storm's release cascades it usually
+passes too, so its screen would only add the new state's screen sums.
 
 The bound. Each mass or total either path compares is a sum of
 non-negative products of at most four rounded factors. Summing k
@@ -79,16 +107,21 @@ comparisons themselves, which ``tau`` exceeds. A screen rejection therefore
 implies an exact rejection, while an exact tie (hypothetical share equal to
 the current one) always falls inside the slack and goes to the exact test.
 The bound is relative and fails under gradual underflow, so the screen
-rejects only when ``m_e * T_cur >= 2**-900``.
+rejects only when ``m_e > 2**-900 / T_cur``.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from . import congraph
 from .congraph import ConversationGraph, EmotionBoard, InfluenceWeights
@@ -108,6 +141,7 @@ POSITIVE_EMOTIONS: frozenset[EmotionKind] = frozenset(
 _GOVERNED_IDX: tuple[tuple[int, EmotionKind], ...] = tuple(
     (EMOTION_INDEX[e], e) for e in GOVERNED_EMOTIONS
 )
+_GOVERNED_COLS = np.array([idx for idx, _ in _GOVERNED_IDX])
 
 ACTIVITY_RING = 20
 DEFAULT_ACTIVITY_CUTOFF = 60.0
@@ -117,7 +151,14 @@ DEFAULT_RHO = 0.5
 # below _SCREEN_MIN rounding errors stop being relative (gradual underflow)
 _SCREEN_ULPS = 8.0
 _SCREEN_MIN = 2.0**-900
+# a graph state screens this many held entries one at a time, and then the
+# rest of the pass at once if at least _SCREEN_BATCH_MIN are left (see the
+# module docstring)
+_SCREEN_ALONE = 4
+_SCREEN_BATCH_MIN = 12
 _ZERO_VECTOR = (0.0,) * 8
+# a priority bucket's order: enqueue time, then id
+_TIME_ID = attrgetter("enqueue_time", "comment.id")
 
 
 class RegulatorError(Exception):
@@ -198,8 +239,26 @@ class AdmissionDecision(Enum):
     HELD = "held"
 
 
+class _Ancestry:
+    """What a child of one published comment would bump: the parent's
+    ``congraph._ancestor_chain``, which never changes once the parent is
+    published, and, once the scalar screen asks, ``sums``: at j,
+    ``damping**k`` times the ancestors' vectors, summed over the first j
+    ancestors (as far as the screen has needed). Tuples, so that the garbage
+    collector stops tracking them."""
+
+    __slots__ = ("chain", "sums")
+
+    def __init__(self, chain: tuple[tuple[int, float], ...]):
+        self.chain = chain
+        self.sums: tuple[tuple[float, ...], ...] | None = None
+
+
 @dataclass
 class QueueEntry:
+    """A held comment; ``reeval_count`` counts the times it was screened or
+    tested after it was held."""
+
     comment: ClassifiedComment
     parent_id: str | None
     enqueue_time: float
@@ -238,18 +297,215 @@ class DecisionRow(NamedTuple):
 
 class _WindowState:
     """The window in one graph state, shared by every reader until the next
-    admission: masses, board, the board rounded for the decision log, and the
-    sums the re-test screen patches."""
+    admission: the window's PageRank weights, masses, board, the board rounded
+    for the decision log, and the sums the re-test screen patches."""
 
-    __slots__ = ("mass", "total", "board", "logged", "screen")
+    __slots__ = ("weights", "mass", "total", "board", "logged", "screen", "inputs")
 
-    def __init__(self, mass, total: float):
+    def __init__(self, weights: np.ndarray, mass, total: float):
+        self.weights = weights
         self.mass = mass
         self.total = total
         self.board: EmotionBoard | None = None
         self.logged: tuple[float, ...] | None = None
-        # (start, slack, base sums, PageRank sums, reply sums, current masses)
+        # Engine._screen_inputs: (start, base, PageRank and reply sums, slack),
+        # and (thresholds, the screen's inputs) for the thresholds last read
         self.screen: tuple | None = None
+        self.inputs: tuple | None = None
+
+
+def _may_hold(comment: ClassifiedComment) -> bool:
+    """False where the exact test always passes: no dominant emotion, or a
+    positive one."""
+    dominant = comment.dominant
+    return dominant is not None and dominant not in POSITIVE_EMOTIONS
+
+
+def _bucket_share(percentages, dominant: EmotionKind | None) -> float:
+    return 0.0 if dominant is None else percentages[EMOTION_INDEX[dominant]]
+
+
+class _HeldScreen:
+    """What the re-test screen reads of the held entries the exact test can
+    fail and whose parent is published, one row per entry, kept as entries
+    join and leave: the candidate's vector and its own influence terms, the
+    parent's row and vector, and the parent's ancestor chain as rows,
+    ``damping**k`` and running sums of ``damping**k`` times the ancestor's
+    vector. Chains are padded with row -1 and 0. Entries that join wait in
+    ``pending`` until the next screen files them all at once."""
+
+    def __init__(self) -> None:
+        self.slot: dict[str, int] = {}
+        self.ids: list[str] = []
+        self.pending: list[QueueEntry] = []
+        # log2(1 + r) at index r, as math.log2 rounds it (grown on demand)
+        self.log2_table = np.zeros(0)
+        self._set_arrays(16, 16)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _set_arrays(self, capacity: int, depth: int) -> None:
+        fresh = {
+            "vec": np.zeros((capacity, 8)),
+            "own": np.zeros(capacity),
+            "parent": np.zeros(capacity, dtype=np.intp),
+            "parent_vec": np.zeros((capacity, 8)),
+            "rows": np.full((capacity, depth), -1, dtype=np.intp),
+            "deltas": np.zeros((capacity, depth)),
+            "prefix": np.zeros((capacity, depth + 1, 8)),
+        }
+        k = len(self.ids)
+        for name, arr in fresh.items():
+            if k:
+                old = getattr(self, name)
+                arr[(slice(k),) + tuple(slice(size) for size in old.shape[1:])] = old[:k]
+            setattr(self, name, arr)
+
+    def _file_pending(
+        self,
+        graph: ConversationGraph,
+        weights: InfluenceWeights,
+        chains: list[tuple[tuple[int, float], ...]],
+    ) -> None:
+        """File the pending entries, whose parents' chains are ``chains``."""
+        pending = self.pending
+        self.pending = []
+        k = len(self.ids)
+        capacity, width = self.rows.shape
+        longest = max(len(chain) for chain in chains)
+        if k + len(pending) > capacity or longest > width:
+            while capacity < k + len(pending):
+                capacity *= 2
+            self._set_arrays(capacity, max(width, longest))
+            width = self.rows.shape[1]
+        rows, deltas, own = [], [], []
+        depth = graph._depth
+        for slot, (entry, chain) in enumerate(zip(pending, chains), k):
+            pad = width - len(chain)
+            rows.append([row for row, _ in chain] + [-1] * pad)
+            deltas.append([delta for _, delta in chain] + [0.0] * pad)
+            own.append(
+                weights.intensity * entry.comment.intensity
+                + weights.depth / (1.0 + (float(depth[chain[0][0]]) + 1.0))
+            )
+            self.slot[entry.comment.id] = slot
+            self.ids.append(entry.comment.id)
+        new = slice(k, len(self.ids))
+        self.rows[new] = rows
+        self.deltas[new] = deltas
+        # a pad's 0 adds nothing to the running sums, and 0 plus the last
+        # row's weight never raises the maximum weight
+        np.cumsum(
+            self.deltas[new, :, None] * graph._vectors[self.rows[new]],
+            axis=1,
+            out=self.prefix[new, 1:],
+        )
+        parent = self.parent[new] = self.rows[new, 0]
+        self.parent_vec[new] = graph._vectors[parent]
+        self.vec[new] = [entry.comment.vector for entry in pending]
+        self.own[new] = own
+
+    def leave(self, entry: QueueEntry) -> None:
+        slot = self.slot.pop(entry.comment.id, None)
+        if slot is None:
+            # by identity: QueueEntry compares its fields
+            pending = self.pending
+            del pending[next(pos for pos, other in enumerate(pending) if other is entry)]
+            return
+        last = len(self.ids) - 1
+        if slot != last:
+            for arr in (
+                self.vec, self.own, self.parent, self.parent_vec, self.rows, self.deltas,
+                self.prefix,
+            ):
+                arr[slot] = arr[last]
+            moved = self.ids[last]
+            self.ids[slot] = moved
+            self.slot[moved] = slot
+        self.ids.pop()
+
+    def rejects(
+        self,
+        graph: ConversationGraph,
+        weights: InfluenceWeights,
+        sums: tuple,
+        positions: list[int],
+    ) -> np.ndarray:
+        """The screen of the rows in ``positions`` in one graph state, True
+        only where ``Engine._passes`` is False: the hypothetical masses from
+        the window's term sums, with the same patches as the exact test,
+        beyond the limits ``sums`` gives."""
+        start, base, sum_w, sum_r, limits, floor = sums
+        idx = np.array(positions, np.intp)
+        rows = self.rows[idx]
+        weight = np.fromiter(graph._weight, float, graph._n)
+        max_weight = (weight[rows] + self.deltas[idx]).max(axis=1)
+        np.maximum(max_weight, graph._max_weight, out=max_weight)
+        parent = self.parent[idx]
+        replies = graph._replies
+        # the parent's new reply count, and the new maximum
+        new_replies = np.array([replies[p] + 1 for p in parent.tolist()])
+        max_replies = np.maximum(new_replies, graph._max_replies)
+        table = self.log2_table
+        if len(table) <= graph._max_replies + 1:
+            size = 2 * (graph._max_replies + 2)
+            table = self.log2_table = np.array([math.log2(1.0 + r) for r in range(size)])
+        patch_r = table[new_replies] - graph._log_replies[parent]
+        patch_r[parent < start] = 0.0
+        coef_w = weights.pagerank / max_weight
+        coef_r = weights.replies / table[max_replies]
+        hyp = self.prefix[idx, (rows >= start).sum(axis=1)]
+        hyp += sum_w
+        hyp *= coef_w[:, None]
+        hyp += base
+        reply_terms = self.parent_vec[idx] * patch_r[:, None]
+        reply_terms += sum_r
+        reply_terms *= coef_r[:, None]
+        hyp += reply_terms
+        cand = self.own[idx] + coef_w
+        hyp += self.vec[idx] * cand[:, None]
+        limit = hyp.sum(axis=1)[:, None] * limits
+        np.maximum(limit, floor, out=limit)
+        return (hyp[:, _GOVERNED_COLS] > limit).any(axis=1)
+
+
+class _PassScreen:
+    """The screen of one pass over ``order``: in each graph state, the first
+    ``_SCREEN_ALONE`` entries one at a time, then, if ``_SCREEN_BATCH_MIN``
+    or more are left, every entry left in the pass at once. The first entry
+    after a release goes to the exact test unscreened."""
+
+    def __init__(self, engine: "Engine", order: list[QueueEntry]):
+        self.engine = engine
+        self.order = order
+        self.mask: list[bool] | None = None
+        self.alone = 0
+        self.released = False
+
+    def rejects(self, entry: QueueEntry, i: int) -> bool:
+        """True only where ``_passes`` is False, for ``order[i]``."""
+        engine = self.engine
+        if (
+            self.mask is None
+            and self.alone >= _SCREEN_ALONE
+            and len(self.order) - i >= _SCREEN_BATCH_MIN
+        ):
+            self.mask = engine._screen_mask(self.order, i)
+        if self.mask is not None:
+            slot = engine._screen.slot.get(entry.comment.id)
+            if slot is not None:
+                return self.mask[slot]
+        self.alone += 1
+        if self.alone == 1 and self.released:
+            return False
+        return engine._screen_one(entry)
+
+    def admitted(self) -> None:
+        """An entry was released: the graph state changed."""
+        self.mask = None
+        self.alone = 0
+        self.released = True
 
 
 class Engine:
@@ -289,7 +545,13 @@ class Engine:
         self.ever_held_count = 0
         self.orphan_count = 0
         self.entries: dict[str, QueueEntry] = {}
-        self._held_ids: list[str] = []
+        self._held_count = 0
+        # held entries whose parent is published, per dominant emotion, each
+        # bucket in _TIME_ID order; the others wait under their parent's id
+        self._buckets: dict[EmotionKind | None, list[QueueEntry]] = {}
+        self._parked: dict[str, list[QueueEntry]] = {}
+        self._screen = _HeldScreen()
+        self._ancestries: dict[int, _Ancestry] = {}
         self._suspended_ids: set[str] = set()
         self.admissions: list[AdmissionRow] = []
         self.decisions: list[tuple[str, str]] = []
@@ -331,7 +593,7 @@ class Engine:
 
     @property
     def held_active_count(self) -> int:
-        return len(self._held_ids)
+        return self._held_count
 
     @property
     def suspended_count(self) -> int:
@@ -340,11 +602,20 @@ class Engine:
     def _window(self) -> _WindowState:
         state = self._state
         if state is None:
-            assert self.graph is not None
+            graph = self.graph
+            assert graph is not None
+            weights = congraph._window_weights(graph, max(0, len(graph) - self.window_size))
             state = self._state = _WindowState(
-                *congraph._window_mass_totals(self.graph, self.window_size, self.weights)
+                weights,
+                *congraph._window_mass_totals(graph, self.window_size, self.weights, weights),
             )
         return state
+
+    def _hypothetical_weights(self, state: _WindowState) -> np.ndarray:
+        """The PageRank weights of the hypothetical window's old rows,
+        ``[max(0, n + 1 - W), n)``: the window's, less its first row once full."""
+        assert self.graph is not None
+        return state.weights[1:] if len(self.graph) >= self.window_size else state.weights
 
     def _current_masses(self):
         state = self._window()
@@ -378,22 +649,31 @@ class Engine:
     def conservation_holds(self) -> bool:
         """processed == admitted + currently held + suspended."""
         return self.processed_count == (
-            self.admitted_count + len(self._held_ids) + len(self._suspended_ids)
+            self.admitted_count + self._held_count + len(self._suspended_ids)
         )
 
     # -- decision predicate ---------------------------------------------------
 
     def _passes(self, comment: ClassifiedComment, parent_id: str, processed: int) -> bool:
-        dominant = comment.dominant
-        if dominant is None or dominant in POSITIVE_EMOTIONS:
+        if not _may_hold(comment):
             return True
-        assert self.graph is not None
+        graph = self.graph
+        assert graph is not None
+        state = self._window()
         hyp_mass, hyp_total = congraph._hypothetical_mass_totals(
-            self.graph, self.window_size, self.weights, comment, parent_id
+            graph,
+            self.window_size,
+            self.weights,
+            comment,
+            parent_id,
+            self._hypothetical_weights(state),
         )
         if hyp_total <= 0.0:
             return True
-        cur_mass, cur_total = self._current_masses()
+        # Python floats round as numpy's float64 scalars do, and cost less
+        hyp_mass = hyp_mass.tolist()
+        cur_mass = state.mass.tolist()
+        cur_total = state.total
         eff = self._effective_tuple(processed)
         for pos, (idx, _) in enumerate(_GOVERNED_IDX):
             mass = hyp_mass[idx]
@@ -407,75 +687,118 @@ class Engine:
             return False
         return True
 
-    def _screen_sums(self, state: _WindowState) -> tuple:
-        graph = self.graph
-        assert graph is not None
-        n = len(graph)
-        start = max(0, n + 1 - self.window_size)
-        sums = congraph._window_term_sums(graph, start)
-        w = self.weights
-        slack = 1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53
-        base = (w.intensity * sums[0] + w.depth * sums[2]).tolist()
-        return start, slack, base, sums[1].tolist(), sums[3].tolist(), state.mass.tolist()
-
-    def _screen_rejects(self, comment: ClassifiedComment, parent_id: str) -> bool:
-        """True only where ``_passes`` is False: the hypothetical masses from
-        the window's term sums fail both inequalities by the slack."""
-        dominant = comment.dominant
-        if dominant is None or dominant in POSITIVE_EMOTIONS:
-            return False
-        state = self._window()
-        cur_total = state.total
-        if cur_total <= 0.0:
-            return False
+    def _screen_inputs(self, state: _WindowState) -> tuple:
+        """What the screen reads of one graph state and threshold tuple: the
+        hypothetical window's start and term sums; per governed emotion, the
+        share of the total a mass must pass to fail both inequalities by the
+        slack, ``slack * max(eff_e / 100, c_e / T_cur)``; and the floor
+        ``2**-900 / T_cur`` under which the screen fails nothing."""
         if state.screen is None:
-            state.screen = self._screen_sums(state)
-        start, slack, base, sum_w, sum_r, cur_mass = state.screen
+            graph = self.graph
+            assert graph is not None
+            n = len(graph)
+            start = max(0, n + 1 - self.window_size)
+            sums = congraph._window_term_sums(graph, start, self._hypothetical_weights(state))
+            w = self.weights
+            state.screen = (
+                start,
+                (w.intensity * sums[0] + w.depth * sums[2]).tolist(),
+                sums[1].tolist(),
+                sums[3].tolist(),
+                1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53,
+            )
+        # the thresholds move with every submission, the window only with
+        # admissions
+        eff = self._effective_tuple(self.processed_count)
+        if state.inputs is None or state.inputs[0] is not eff:
+            slack = state.screen[4]
+            cur_total = state.total
+            cur_mass = state.mass.tolist()
+            limits = [
+                slack * max(e / 100.0, cur_mass[idx] / cur_total)
+                for e, (idx, _) in zip(eff, _GOVERNED_IDX)
+            ]
+            state.inputs = (eff, state.screen[:4] + (limits, _SCREEN_MIN / cur_total))
+        return state.inputs[1]
+
+    def _ancestry(self, parent_idx: int) -> _Ancestry:
+        """The ``_Ancestry`` of the published comment in row ``parent_idx``,
+        built on first use."""
+        ancestry = self._ancestries.get(parent_idx)
+        if ancestry is None:
+            assert self.graph is not None
+            ancestry = _Ancestry(congraph._ancestor_chain(self.graph, parent_idx))
+            self._ancestries[parent_idx] = ancestry
+        return ancestry
+
+    def _screen_one(self, entry: QueueEntry) -> bool:
+        """The screen of one held entry, True only where ``_passes`` is False:
+        ``_HeldScreen.rejects`` in scalars."""
+        state = self._window()
+        if state.total <= 0.0:
+            return False
+        start, base, sum_w, sum_r, limits, floor = self._screen_inputs(state)
         graph = self.graph
         assert graph is not None
-        parent_idx = graph._index[parent_id]
-        comments = graph._comments
+        parent_idx = graph._index[entry.parent_id]
+        ancestry = self._ancestry(parent_idx)
+        chain = ancestry.chain
         bumps, max_weight, parent_replies, max_replies = congraph._admission_patch(
-            graph, parent_idx, start
+            graph, parent_idx, start, chain
         )
-        patch_w = [0.0] * 8
-        for idx, delta in bumps:
-            patch_w = [p + delta * v for p, v in zip(patch_w, comments[idx].vector)]
+        comments = graph._comments
+        sums = ancestry.sums
+        if sums is None or len(sums) <= len(bumps):
+            # the window only moves on, so the first screen needs the most
+            running = _ZERO_VECTOR
+            sums = [running]
+            for idx, delta in bumps:
+                running = tuple([r + delta * v for r, v in zip(running, comments[idx].vector)])
+                sums.append(running)
+            ancestry.sums = sums = tuple(sums)
+        patch_w = sums[len(bumps)]
+        patch_r = 0.0
         if parent_idx >= start:
             patch_r = math.log2(1.0 + parent_replies) - float(graph._log_replies[parent_idx])
-            parent_vec = comments[parent_idx].vector
-        else:
-            patch_r, parent_vec = 0.0, _ZERO_VECTOR
         w = self.weights
         coef_w = w.pagerank / max_weight
         coef_r = w.replies / math.log2(1.0 + max_replies)
+        comment = entry.comment
         cand = congraph._candidate_influence(
             graph, w, comment.intensity, parent_idx, max_weight, max_replies
         )
         hyp = [
             b + coef_w * (sw + pw) + coef_r * (sr + patch_r * pv) + cand * cv
             for b, sw, pw, sr, pv, cv in zip(
-                base, sum_w, patch_w, sum_r, parent_vec, comment.vector
+                base, sum_w, patch_w, sum_r, comments[parent_idx].vector, comment.vector
             )
         ]
         total = sum(hyp)
-        eff = self._effective_tuple(self.processed_count)
-        for pos, (idx, _) in enumerate(_GOVERNED_IDX):
-            mass = hyp[idx]
-            if (
-                100.0 * mass > slack * eff[pos] * total
-                and mass * cur_total > slack * cur_mass[idx] * total
-                and mass * cur_total >= _SCREEN_MIN
-            ):
+        for (idx, _), limit in zip(_GOVERNED_IDX, limits):
+            if hyp[idx] > max(total * limit, floor):
                 return True
         return False
 
-    def _retest(self, comment: ClassifiedComment, parent_id: str) -> bool:
-        """The decision for a held entry: screened, then exact if not rejected."""
-        assert self.graph is not None
-        if parent_id not in self.graph or self._screen_rejects(comment, parent_id):
-            return False
-        return self._passes(comment, parent_id, self.processed_count)
+    def _screen_mask(self, order: list[QueueEntry], start: int) -> list[bool]:
+        """Per row of the held screen, True only where ``_passes`` is False in
+        the current graph state, for the rows of ``order[start:]``; the other
+        rows read False."""
+        screen = self._screen
+        if screen.pending:
+            index = self.graph._index
+            chains = [self._ancestry(index[e.parent_id]).chain for e in screen.pending]
+            screen._file_pending(self.graph, self.weights, chains)
+        mask = [False] * len(screen)
+        slot = screen.slot
+        positions = [slot[e.comment.id] for e in order[start:] if e.comment.id in slot]
+        state = self._window()
+        if positions and state.total > 0.0:
+            inputs = self._screen_inputs(state)
+            for pos, rejected in zip(
+                positions, screen.rejects(self.graph, self.weights, inputs, positions).tolist()
+            ):
+                mask[pos] = rejected
+        return mask
 
     # -- commit helpers -------------------------------------------------------
 
@@ -529,14 +852,43 @@ class Engine:
         )
 
     def _enqueue(
-        self, comment: ClassifiedComment, parent_id: str | None, now: float
+        self, comment: ClassifiedComment, parent_id: str, now: float, published: bool
     ) -> QueueEntry:
         entry = QueueEntry(comment=comment, parent_id=parent_id, enqueue_time=now)
         self.entries[comment.id] = entry
-        self._held_ids.append(comment.id)
+        self._held_count += 1
         self.ever_held_count += 1
         self.decisions.append((comment.id, "held"))
+        if not published:
+            self._parked.setdefault(parent_id, []).append(entry)
+        else:
+            self._make_ready(entry)
         return entry
+
+    def _file(self, entry: QueueEntry) -> None:
+        """Put a held entry into its priority bucket."""
+        bucket = self._buckets.get(entry.comment.dominant)
+        if bucket is None:
+            self._buckets[entry.comment.dominant] = [entry]
+        elif bucket[-1].enqueue_time < entry.enqueue_time:
+            bucket.append(entry)  # the usual case: the newest entry
+        else:
+            insort(bucket, entry, key=_TIME_ID)
+
+    def _make_ready(self, entry: QueueEntry) -> None:
+        """File a held entry whose parent is published into its bucket and,
+        if the exact test can fail it, the screen."""
+        self._file(entry)
+        if _may_hold(entry.comment):
+            self._screen.pending.append(entry)
+
+    def _unpark(self, parent_id: str) -> list[QueueEntry]:
+        """The entries that waited for ``parent_id``, now that it is published,
+        filed into their buckets."""
+        children = self._parked.pop(parent_id, [])
+        for child in children:
+            self._make_ready(child)
+        return children
 
     # -- operations -----------------------------------------------------------
 
@@ -583,53 +935,92 @@ class Engine:
             else:
                 before = self._logged_board() if self.log_decisions else None
                 self.processed_count += 1
-                self._enqueue(comment, target, now)
+                self._enqueue(comment, target, now, published=False)
                 self._log(comment.id, "held", before)
                 return AdmissionDecision.HELD
 
         before = self._logged_board() if self.log_decisions else None
         if self.queue_enabled and not self._passes(comment, target, self.processed_count):
             self.processed_count += 1
-            self._enqueue(comment, target, now)
+            self._enqueue(comment, target, now, published=True)
             self._log(comment.id, "held", before)
             return AdmissionDecision.HELD
 
         self.processed_count += 1
         self._admit(comment, target, now, "admitted")
         self._log(comment.id, "admitted", before)
+        if self._parked:
+            self._unpark(comment.id)
         self.requeue_scan(now)
         return AdmissionDecision.ADMITTED
 
     def _priority_order(self) -> list[QueueEntry]:
-        cur = self.board()
+        """The bucketed entries by the current board percentage of their
+        dominant emotion (neutral counts as 0), then enqueue time, then id:
+        the buckets in share order, merged where shares are equal."""
+        percentages = self.board().percentages
+        by_share: dict[float, list[list[QueueEntry]]] = {}
+        for dominant, bucket in self._buckets.items():
+            by_share.setdefault(_bucket_share(percentages, dominant), []).append(bucket)
+        order: list[QueueEntry] = []
+        for share in sorted(by_share):
+            buckets = by_share[share]
+            order.extend(buckets[0] if len(buckets) == 1 else heapq.merge(*buckets, key=_TIME_ID))
+        return order
 
-        def key(entry_id: str) -> tuple[float, float, str]:
-            entry = self.entries[entry_id]
-            dominant = entry.comment.dominant
-            pct = 0.0 if dominant is None else cur.percentages[EMOTION_INDEX[dominant]]
-            return (pct, entry.enqueue_time, entry_id)
-
-        return [self.entries[eid] for eid in sorted(self._held_ids, key=key)]
+    def _unfile(self, entry: QueueEntry) -> None:
+        dominant = entry.comment.dominant
+        bucket = self._buckets[dominant]
+        del bucket[bisect_left(bucket, _TIME_ID(entry), key=_TIME_ID)]
+        if not bucket:
+            del self._buckets[dominant]
 
     def requeue_scan(self, now: float) -> list[QueueEntry]:
-        """One release pass over the queue, in underrepresented-emotion order."""
-        if not self._held_ids:
+        """One release pass over the held entries whose parent is published,
+        in underrepresented-emotion order."""
+        if not self._buckets:
             return []
+        percentages = self.board().percentages
+
+        def key(entry: QueueEntry) -> tuple[float, float, str]:
+            return (
+                _bucket_share(percentages, entry.comment.dominant),
+                entry.enqueue_time,
+                entry.comment.id,
+            )
+
+        order = self._priority_order()
+        walk = _PassScreen(self, order)
         released: list[QueueEntry] = []
-        for entry in self._priority_order():
-            if entry.status is not QueueStatus.HELD:
-                continue
+        i = 0
+        while i < len(order):
+            entry = order[i]
+            i += 1
             entry.reeval_count += 1
-            if not self._retest(entry.comment, entry.parent_id):
+            comment = entry.comment
+            screened = _may_hold(comment)
+            if screened and (
+                walk.rejects(entry, i - 1)
+                or not self._passes(comment, entry.parent_id, self.processed_count)
+            ):
                 continue
             before = self._logged_board() if self.log_decisions else None
             entry.status = QueueStatus.RELEASED
             entry.release_time = now
             entry.hold_duration = now - entry.enqueue_time
-            self._held_ids.remove(entry.comment.id)
-            self._admit(entry.comment, entry.parent_id, now, "released")
-            self._log(entry.comment.id, "released", before, entry.hold_duration)
+            self._held_count -= 1
+            self._unfile(entry)
+            if screened:
+                self._screen.leave(entry)
+            self._admit(comment, entry.parent_id, now, "released")
+            self._log(comment.id, "released", before, entry.hold_duration)
             released.append(entry)
+            walk.admitted()
+            # a child that sorts after its parent is tested in this pass too
+            children = self._unpark(comment.id) if self._parked else ()
+            for child in children:
+                if key(child) > key(entry):
+                    insort(order, child, lo=i, key=key)
         return released
 
     def finalize(self, now: float) -> list[tuple[QueueEntry, QueueStatus]]:
@@ -638,33 +1029,52 @@ class Engine:
             raise ClockError(f"finalize time {now} precedes {self._last_now}")
         self._last_now = now
         outcomes: list[tuple[QueueEntry, QueueStatus]] = []
-        if not self._held_ids:
+        if not self._held_count:
             return outcomes
-        for entry in self._priority_order():
-            if entry.status is not QueueStatus.HELD:
-                continue
-            entry.reeval_count += 1
+        graph = self.graph
+        assert graph is not None
+        for children in self._parked.values():
+            for entry in children:
+                self._file(entry)
+        self._parked.clear()
+        order = self._priority_order()
+        # every entry is revised before the pass, so that the screen rows read
+        # the revised intensities
+        self._screen = screen = _HeldScreen()
+        for entry in order:
             entry.status = QueueStatus.REVISED
             entry.revised = True
+            if entry.comment.dominant is not None:
+                entry.comment = replace(
+                    entry.comment, intensity=max(0.1, self.rho * entry.comment.intensity)
+                )
+            if entry.parent_id in graph and _may_hold(entry.comment):
+                screen.pending.append(entry)
+        walk = _PassScreen(self, order)
+        for i, entry in enumerate(order):
             comment = entry.comment
-            if comment.dominant is not None:
-                comment = replace(comment, intensity=max(0.1, self.rho * comment.intensity))
-                entry.comment = comment
+            passes = False
+            if entry.parent_id in graph:
+                entry.reeval_count += 1
+                passes = not (_may_hold(comment) and walk.rejects(entry, i)) and self._passes(
+                    comment, entry.parent_id, self.processed_count
+                )
             before = self._logged_board() if self.log_decisions else None
-            if self._retest(comment, entry.parent_id):
+            entry.hold_duration = now - entry.enqueue_time
+            self._held_count -= 1
+            if passes:
                 entry.status = QueueStatus.RELEASED
                 entry.release_time = now
-                entry.hold_duration = now - entry.enqueue_time
-                self._held_ids.remove(comment.id)
                 self._admit(comment, entry.parent_id, now, "revised_released")
                 self._log(comment.id, "revised_released", before, entry.hold_duration)
                 outcomes.append((entry, QueueStatus.RELEASED))
+                walk.admitted()
             else:
                 entry.status = QueueStatus.SUSPENDED
-                entry.hold_duration = now - entry.enqueue_time
-                self._held_ids.remove(comment.id)
                 self._suspended_ids.add(comment.id)
                 self.decisions.append((comment.id, "suspended"))
                 self._log(comment.id, "suspended", before, entry.hold_duration)
                 outcomes.append((entry, QueueStatus.SUSPENDED))
+        self._buckets.clear()
+        self._screen = _HeldScreen()
         return outcomes

@@ -246,9 +246,9 @@ class ReferenceEngine:
         for entry in self._priority():
             if entry["status"] != "held":
                 continue
-            entry["reeval"] += 1
             if entry["parent_id"] not in self.index:
                 continue
+            entry["reeval"] += 1  # tested: its parent is published
             if not self._passes(entry["comment"], entry["parent_id"]):
                 continue
             entry["status"] = "released"
@@ -259,16 +259,15 @@ class ReferenceEngine:
         for entry in self._priority():
             if entry["status"] != "held":
                 continue
-            entry["reeval"] += 1
             comment = entry["comment"]
             if comment.dominant is not None:
                 comment = replace(
                     comment, intensity=max(0.1, self.cfg.rho * comment.intensity)
                 )
                 entry["comment"] = comment
-            if entry["parent_id"] in self.index and self._passes(
-                comment, entry["parent_id"]
-            ):
+            published = entry["parent_id"] in self.index
+            entry["reeval"] += published
+            if published and self._passes(comment, entry["parent_id"]):
                 entry["status"] = "released"
                 entry["hold_duration"] = now - entry["enqueue_time"]
                 self._admit(

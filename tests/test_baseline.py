@@ -11,6 +11,7 @@ from emoqueue.baseline import (
     OfflineToxicityProxy,
     ProviderError,
     _TokenBucket,
+    check_policy_settings,
     compare_policies_corpus,
 )
 from emoqueue.congraph import build_graph
@@ -286,10 +287,11 @@ class TestComparePolicies:
 
     def test_influence_gated_policy_targets_engaged_subtrees(self, lexicon):
         graph = self.build_toxic_graph()
-        provider = OfflineToxicityProxy(lexicon)
+        # at kappa 0.5 the toxic texts score 0.5, 0.25 and 0.375
+        provider = OfflineToxicityProxy(lexicon, kappa=0.5)
         result = compare_policies_corpus(
-            [graph], provider, influence_percentile=70.0, toxicity_floor=0.5,
-            text_only_floor=1.1,  # text-only floor nothing can reach
+            [graph], provider, influence_percentile=70.0, toxicity_floor=0.2,
+            text_only_floor=0.6,  # a text-only floor above every score
         )
         a, b = result.influence_and_toxicity, result.toxicity_only
         assert b.detected_count == 0 and b.toxicity_reduction == 0.0
@@ -297,3 +299,42 @@ class TestComparePolicies:
         assert a.detected_count >= 1
         assert a.removed_count >= a.detected_count
         assert a.toxicity_reduction > 0.0
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"influence_percentile": 150.0},
+            {"influence_percentile": -1.0},
+            {"influence_percentile": float("nan")},
+            {"toxicity_floor": float("nan")},
+            {"toxicity_floor": -0.1},
+            {"text_only_floor": 5.0},
+            {"text_only_floor": float("nan")},
+        ],
+        ids=[
+            "percentile=150", "percentile=-1", "percentile=nan", "toxicity-floor=nan",
+            "toxicity-floor=-0.1", "text-only-floor=5", "text-only-floor=nan",
+        ],
+    )
+    def test_out_of_range_setting_raises(self, lexicon, setting):
+        graph = self.build_toxic_graph()
+        with pytest.raises(ValueError, match="must lie in"):
+            compare_policies_corpus([graph], OfflineToxicityProxy(lexicon), **setting)
+        with pytest.raises(ValueError, match="must lie in"):
+            check_policy_settings(
+                **{
+                    "influence_percentile": 95.0,
+                    "toxicity_floor": 0.5,
+                    "text_only_floor": 0.8,
+                    **setting,
+                }
+            )
+
+    def test_range_ends_are_accepted(self, lexicon):
+        check_policy_settings(0.0, 0.0, 1.0)
+        check_policy_settings(100.0, 1.0, 0.0)
+        result = compare_policies_corpus(
+            [self.build_toxic_graph()], OfflineToxicityProxy(lexicon),
+            influence_percentile=100.0, toxicity_floor=1.0, text_only_floor=1.0,
+        )
+        assert result.toxicity_only.detected_count == 3

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emoqueue import congraph, harness
@@ -25,14 +26,16 @@ from emoqueue.regulator import (
     ClockError,
     GOVERNED_EMOTIONS,
     Engine,
+    QueueEntry,
     QueueStatus,
     RegulatorError,
     ThresholdConfig,
     UnknownParentError,
+    _HeldScreen,
 )
 from emoqueue.emolex import classify_comment
 
-from helpers import INTENSITY_ONLY, make_comment, no_decay_thresholds
+from helpers import INTENSITY_ONLY, make_comment, make_record, no_decay_thresholds
 from reference import reference_replay
 
 
@@ -522,7 +525,6 @@ class TestGoldenDecisionLog:
 class TestIdleTimeout:
     def test_idle_gap_finalizes_mid_stream(self, lexicon, emoji_lexicon):
         from emoqueue.harness import SimulationConfig as Config
-        from helpers import make_record
 
         records = [
             make_record("r", None, 0.0, "celebrate celebrate the road"),
@@ -611,6 +613,65 @@ class TestLoggingOffCostsNothing:
         assert calls[0] > 0
 
 
+# words the lexicons give one dominant emotion, and filler they skip
+_STREAM_WORDS = {
+    "anger": ("furious", "enraged", "\U0001f621"),
+    "disgust": ("filth", "foul", "\U0001f922"),
+    "fear": ("afraid", "dread", "\U0001f631"),
+    "sadness": ("grief", "gloom"),
+    "joy": ("celebrate", "delight", "\u2728"),
+    "trust": ("credible", "faithful"),
+    "surprise": ("amazed", "baffled"),
+}
+_STREAM_FILLER = ("the", "plan", "about", "with", "today")
+_STREAM_IDLE = 60.0
+# gaps between consecutive records: equal timestamps, short ones, either
+# side of the idle timeout (which finalizes mid-stream), and long ones
+_STREAM_GAPS = (0.0, 0.5, 3.0, _STREAM_IDLE - 1.0, _STREAM_IDLE + 1.0, 500.0)
+
+
+@st.composite
+def raw_streams(draw):
+    """A small raw conversation stream in replay order, and its config.
+
+    Record ``r0`` is the root; every other record replies to an earlier one
+    in tree order, or to an id missing from the stream. Timestamps follow a
+    random permutation, so children may come before their parents and the
+    root need not come first. Gaps repeat timestamps or straddle the idle
+    timeout; the text may be all governed; the window is one comment or
+    longer than the stream."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    governed = draw(st.booleans())
+    kinds = ("anger", "disgust", "fear", "sadness") if governed else (*_STREAM_WORDS, None)
+    order = draw(st.permutations(range(n)))
+    gaps = draw(st.lists(st.sampled_from(_STREAM_GAPS), min_size=n, max_size=n))
+    clock, stamps = 1000.0, {}
+    for row, gap in zip(order, gaps):
+        clock += gap
+        stamps[row] = clock
+    records = []
+    for i in range(n):
+        parent = None
+        if i:
+            j = draw(st.integers(min_value=-1, max_value=i - 1))
+            parent = "gone" if j < 0 else f"r{j}"
+        kind = draw(st.sampled_from(kinds))
+        words = []
+        if kind is not None:
+            words = draw(st.lists(st.sampled_from(_STREAM_WORDS[kind]), min_size=1, max_size=3))
+        words += draw(st.lists(st.sampled_from(_STREAM_FILLER), min_size=1, max_size=4))
+        records.append(make_record(f"r{i}", parent, stamps[i], " ".join(words)))
+    records.sort(key=lambda r: (r.created_at, r.id))
+    window = draw(st.sampled_from([1, 2, 5, 100]))
+    return records, SimulationConfig(window_size=window, idle_timeout=_STREAM_IDLE)
+
+
+def _stream(window: int, *rows) -> tuple:
+    """A ``raw_streams`` value from ``(id, parent, created_at, text)`` rows."""
+    records = [make_record(*row) for row in rows]
+    return records, SimulationConfig(window_size=window, idle_timeout=_STREAM_IDLE)
+
+
 class TestOracleEquivalence:
     def test_engine_matches_reference_on_small_conversations(self, lexicon, emoji_lexicon):
         config = SimulationConfig()
@@ -638,6 +699,61 @@ class TestOracleEquivalence:
                 if outcome.decisions != ref.decisions:
                     mismatches += 1
         assert mismatches == 0
+
+    @given(raw_streams())
+    @example(
+        # r2 waits for r1 and is released when r1 arrives, in a pass in
+        # which its children sort one before it (r4, anger) and one after
+        # it (r3, sadness): only r3 is tested in that pass
+        _stream(
+            1,
+            ("r0", None, 1000.0, "grief the"),
+            ("r2", "r1", 1000.0, "grief the"),
+            ("r3", "r2", 1000.0, "grief the"),
+            ("r4", "r2", 1000.0, "furious the"),
+            ("r1", "r0", 1000.5, "grief the"),
+            ("r5", "r0", 1000.5, "furious the"),
+        )
+    )
+    @example(
+        # the idle gap suspends r1; r7 then replies to it
+        _stream(
+            1,
+            ("r0", None, 1000.0, "furious the"),
+            ("r1", "r0", 1000.0, "filth the"),
+            *[(f"r{i}", "r0", 1000.0, "furious the") for i in range(2, 7)],
+            ("r7", "r1", 1061.0, "furious the"),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_engine_matches_reference_on_raw_streams(self, lexicon, emoji_lexicon, stream):
+        records, config = stream
+        classified = [
+            classify_comment(
+                r.id, r.author, r.parent_id, r.created_at, r.text,
+                lexicon, emoji_lexicon, config.kappa,
+            )
+            for r in records
+        ]
+        engines = []
+
+        class Recorded(Engine):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                engines.append(self)
+
+        for queue in (True, False):
+            with mock.patch.object(harness, "Engine", Recorded):
+                outcome = _simulate_conversation(
+                    records, list(range(len(records))), classified, config, queue, False
+                )
+            ref = reference_replay(records, classified, config, queue_enabled=queue)
+            assert outcome.decisions == ref.decisions
+            engine = engines[-1]
+            assert engine.conservation_holds()
+            assert {cid: e.reeval_count for cid, e in engine.entries.items()} == {
+                cid: e["reeval"] for cid, e in ref.entries.items()
+            }
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("governed", [False, True], ids=["ungoverned", "default"])
@@ -762,7 +878,8 @@ _unit = st.floats(min_value=0.0, max_value=1.0)
 
 @st.composite
 def screened_cases(draw):
-    """A random tree, window, weights, regime and a governed candidate."""
+    """A random tree, window, weights and regime, and one to three held
+    candidates (governed or surprise) under nodes of the tree."""
     n = draw(st.integers(min_value=1, max_value=40))
     palette = [
         EmotionVector.unit(EmotionKind.ANGER),
@@ -778,14 +895,18 @@ def screened_cases(draw):
             lambda ks: EmotionVector(k * 5e-324 for k in ks)
         ),
     )
+    held = draw(st.integers(min_value=1, max_value=3))
     comments = []
-    for i in range(n + 1):
-        vector = draw(vectors)
-        parent = None if i == 0 else f"n{draw(st.integers(min_value=0, max_value=i - 1))}"
+    for i in range(n + held):
+        candidate = i >= n
+        vector = draw(vectors.filter(lambda v: not v.is_zero) if candidate else vectors)
+        parent = None
+        if i:
+            parent = f"n{draw(st.integers(min_value=0, max_value=min(i, n) - 1))}"
         if vector.is_zero:
             kind, intensity = None, 0.0
         else:
-            kind = draw(st.sampled_from(_GOVERNED_KINDS if i == n else list(EmotionKind)))
+            kind = draw(st.sampled_from(_GOVERNED_KINDS if candidate else list(EmotionKind)))
             intensity = draw(st.floats(min_value=0.1, max_value=1.0))
         comments.append(make_comment(f"n{i}", parent, float(i), kind, intensity, vector=vector))
     raw = draw(st.sampled_from([(0.4, 0.2, 0.2, 0.2), (1.0, 0.0, 0.0, 0.0), None]))
@@ -799,25 +920,46 @@ def screened_cases(draw):
     base = draw(st.floats(min_value=30.0, max_value=90.0))
     thresholds = ThresholdConfig(base={e: base for e in GOVERNED_EMOTIONS})
     active = draw(st.booleans())
-    return comments, weights, window, thresholds, active
+    return comments[:n], comments[n:], weights, window, thresholds, active
+
+
+def screen_rejections(eng: Engine, candidates) -> dict[str, list[bool]]:
+    """Whether the screen rejects held entries for ``candidates`` in
+    ``eng``'s graph state, per path: the scalar screen, a one-entry batch of
+    each, and one batch of all."""
+    entries = [QueueEntry(c, c.parent_id, c.created_at) for c in candidates]
+
+    def batch(group):
+        eng._screen = _HeldScreen()
+        eng._screen.pending.extend(group)
+        mask = eng._screen_mask(group, 0)
+        return [mask[eng._screen.slot[e.comment.id]] for e in group]
+
+    return {
+        "scalar": [eng._screen_one(e) for e in entries],
+        "one-entry batch": [batch([e])[0] for e in entries],
+        "batch": batch(entries),
+    }
 
 
 class TestRetestScreen:
-    """The window-sum screen only ever rejects what the exact test rejects."""
+    """The screen, scalar or batched, only ever rejects what the exact test
+    rejects."""
 
     @given(screened_cases())
     @settings(max_examples=300, deadline=None)
     def test_screen_rejection_implies_exact_rejection(self, case):
-        comments, weights, window, thresholds, active = case
+        tree, candidates, weights, window, thresholds, active = case
         eng = Engine(
             weights=weights, window_size=window, thresholds=thresholds, queue_enabled=False
         )
-        for comment in comments[:-1]:
+        for comment in tree:
             eng.submit(comment, now=comment.created_at)
         eng._act_active = active
-        candidate = comments[-1]
-        if eng._screen_rejects(candidate, candidate.parent_id):
-            assert not eng._passes(candidate, candidate.parent_id, eng.processed_count)
+        for path in screen_rejections(eng, candidates).values():
+            for candidate, rejected in zip(candidates, path):
+                if rejected:
+                    assert not eng._passes(candidate, candidate.parent_id, eng.processed_count)
 
     def test_subnormal_board_is_deferred(self):
         # the hypothetical window holds only subnormal vectors, where rounding
@@ -846,26 +988,40 @@ class TestRetestScreen:
             eng.submit(comment, now=comment.created_at)
         candidate = comments[-1]
         assert eng._passes(candidate, "n0", eng.processed_count)
-        assert not eng._screen_rejects(candidate, "n0")
+        for path in screen_rejections(eng, [candidate]).values():
+            assert path == [False]
 
     def test_screen_rejects_most_failing_storm_retests(self, lexicon, emoji_lexicon):
         config = SimulationConfig()
         records, classified = storm_conversation(3, lexicon, emoji_lexicon, config, 400)
         eng = Engine()
-        outcomes = {"rejected": 0, "deferred_failing": 0}
-        screen = eng._screen_rejects
+        outcomes = {"rejected": 0, "deferred_failing": 0, "batched": 0}
+        one, batch = eng._screen_one, eng._screen_mask
 
-        def audited(comment, parent_id):
-            rejected = screen(comment, parent_id)
-            exact = eng._passes(comment, parent_id, eng.processed_count)
+        def audit(entry, rejected):
+            exact = eng._passes(entry.comment, entry.parent_id, eng.processed_count)
             assert not (rejected and exact)
             if rejected:
                 outcomes["rejected"] += 1
             elif not exact:
                 outcomes["deferred_failing"] += 1
+
+        def audited_one(entry):
+            rejected = one(entry)
+            audit(entry, rejected)
             return rejected
 
-        eng._screen_rejects = audited
+        def audited_batch(order, start):
+            mask = batch(order, start)
+            slot = eng._screen.slot
+            for entry in order[start:]:
+                if entry.comment.id in slot:
+                    outcomes["batched"] += 1
+                    audit(entry, mask[slot[entry.comment.id]])
+            return mask
+
+        eng._screen_one = audited_one
+        eng._screen_mask = audited_batch
         for record, comment in zip(records, classified):
             parent = comment.parent_id
             defer = parent is not None and parent not in eng.entries and (
@@ -875,6 +1031,23 @@ class TestRetestScreen:
         eng.finalize(records[-1].created_at)
         assert outcomes["rejected"] > 1000
         assert outcomes["deferred_failing"] <= outcomes["rejected"] // 100
+        assert outcomes["batched"] > 300
+
+    def test_screen_limits_follow_the_thresholds(self):
+        # a held submission moves the thresholds (here by decay) but not the
+        # window, so the screen's limits are rebuilt while its sums are kept
+        eng = Engine(thresholds=ThresholdConfig(decay_gamma=20.0, decay_scale=4))
+        eng.submit(make_comment("r", None, 0.0, EmotionKind.JOY, 0.5), now=0.0)
+        state = eng._window()
+        before = eng._screen_inputs(state)
+        decision = eng.submit(make_comment("x", "r", 1.0, EmotionKind.ANGER, 0.9), now=1.0)
+        assert decision is AdmissionDecision.HELD
+        assert eng._state is state
+        after = eng._screen_inputs(state)
+        assert after[:4] == before[:4]
+        assert after != before
+        state.screen = state.inputs = None
+        assert eng._screen_inputs(state) == after
 
     @staticmethod
     def tie_engine(vector, intensities):
@@ -904,7 +1077,8 @@ class TestRetestScreen:
         eng, candidate = self.tie_engine(vector, intensities)
         anger = eng.board().get(EmotionKind.ANGER)
         assert anger > effective(eng)[EmotionKind.ANGER]  # breached: the tie decides
-        assert not eng._screen_rejects(candidate, "n0")
+        for path in screen_rejections(eng, [candidate]).values():
+            assert path == [False]
         assert eng._passes(candidate, "n0", eng.processed_count)
         assert eng.submit(candidate, now=candidate.created_at) is AdmissionDecision.ADMITTED
 
