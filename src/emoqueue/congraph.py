@@ -13,7 +13,8 @@ mass from the root spread uniformly) satisfies ``score(v) = weight(v) / T``
 where ``weight(v) = 1 + d * sum(weight(children))`` and ``T`` is the total
 weight. Admitting a comment adds ``d**k`` to its k-th ancestor's weight, and
 the walk up the ancestors stops at the first ``d**k`` below ``2**-53``
-(k = 227 at d = 0.85), so an admission costs O(min(depth, 226)). The bound
+(k = 227 at d = 0.85; the graph's ``_powers`` lists the ``d**k`` above it),
+so an admission costs O(min(depth, 226)). The bound
 is exact, not an approximation: every weight starts at 1.0 and only grows,
 and half an ulp of any ``w >= 1`` is at least ``2**-53``, so each skipped add
 would round back to ``w`` and changes neither a weight nor the maximum
@@ -28,8 +29,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import neg
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,8 +42,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_DAMPING = 0.85
 DEFAULT_WINDOW = 100
-# _append's walk and _admission_patch stop below this: the add is an exact
-# no-op on a weight >= 1
+# a child adds damping**k to its k-th ancestor's weight while damping**k is at
+# least this: below it the add is an exact no-op on a weight >= 1
 _MIN_ANCESTOR_DELTA = 2.0**-53
 
 
@@ -112,6 +115,13 @@ class ConversationGraph:
         if not 0.0 < damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
         self._damping = damping
+        # damping**k for k = 1, 2, ... down to _MIN_ANCESTOR_DELTA
+        powers = []
+        delta = damping
+        while delta >= _MIN_ANCESTOR_DELTA:
+            powers.append(delta)
+            delta *= damping
+        self._powers = tuple(powers)
         self._capacity = 64
         self._n = 0
         self._ids: list[str] = []
@@ -211,19 +221,18 @@ class ConversationGraph:
             if self._replies[parent_idx] > self._max_replies:
                 self._max_replies = self._replies[parent_idx]
             # ancestors absorb the new leaf's walk mass: weight += damping^distance,
-            # with the same bound as _admission_patch (inline: this is the hot path)
+            # along _ancestor_chain (inline: this is the hot path)
             weight = self._weight
             parent = self._parent
-            damping = self._damping
             max_weight = self._max_weight
-            delta = damping
             anc = parent_idx
-            while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
+            for delta in self._powers:
+                if anc < 0:
+                    break
                 adjusted = weight[anc] + delta
                 weight[anc] = adjusted
                 if adjusted > max_weight:
                     max_weight = adjusted
-                delta *= damping
                 anc = parent[anc]
             self._max_weight = max_weight
         return idx
@@ -260,28 +269,26 @@ def _influence(
     return infl
 
 
-def _candidate_influence(graph, weights, intensity, parent_idx, max_weight, max_replies):
+def _candidate_influence(graph, weights, intensity, parent_idx, max_weight):
     """Influence of a candidate child of ``parent_idx``, a new leaf: weight 1,
-    one below its parent, no replies."""
-    depth = float(graph._depth[parent_idx]) + 1.0
-    return _influence(weights, intensity, 1.0, depth, 0.0, max_weight, max_replies)
+    one below its parent, no replies (so no reply term, whatever the maximum
+    reply count). Arrays of candidates give an array."""
+    depth = graph._depth[parent_idx] + 1.0
+    return _influence(weights, intensity, 1.0, depth, 0.0, max_weight, 0)
 
 
-def _ancestor_chain(
-    graph: ConversationGraph, parent_idx: int
-) -> tuple[tuple[int, float], ...]:
-    """The ``(row, damping**k)`` pairs a child of ``parent_idx`` would bump,
-    as ``_admission_patch`` walks them, for callers that keep them: rows fall
-    along the chain, and the chain never changes once the parent is admitted.
-    A tuple, so that the garbage collector stops tracking a kept chain."""
+def _ancestor_chain(graph: ConversationGraph, parent_idx: int) -> tuple[int, ...]:
+    """The rows a child of ``parent_idx`` would bump, nearest first: its k-th
+    ancestor gains ``graph._powers[k - 1]``. The chain never changes once the
+    parent is admitted. A tuple, so that the garbage collector stops tracking
+    a kept chain."""
     parent = graph._parent
-    damping = graph._damping
     chain = []
-    delta = damping
     anc = parent_idx
-    while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
-        chain.append((anc, delta))
-        delta *= damping
+    for _ in graph._powers:
+        if anc < 0:
+            break
+        chain.append(anc)
         anc = parent[anc]
     return tuple(chain)
 
@@ -290,41 +297,46 @@ def _admission_patch(
     graph: ConversationGraph,
     parent_idx: int,
     start: int,
-    chain: tuple[tuple[int, float], ...] | None = None,
-) -> tuple[Sequence[tuple[int, float]], float, int, int]:
+    chain: tuple[int, ...] | None = None,
+) -> tuple[tuple[int, ...], float, int, int]:
     """What admitting a child of ``parent_idx`` changes, without admitting it:
-    the ``(row, damping**k)`` bumps to the k-th ancestors in rows ``>= start``
-    (nearest first, while ``damping**k >= 2**-53``), the new maximum weight,
-    the parent's new reply count and the new maximum reply count. A caller
-    that keeps the parent's ``_ancestor_chain`` passes it as ``chain`` and
-    gets its head as the bumps; otherwise the ancestors are walked."""
+    the bumps, the head of the parent's ``_ancestor_chain`` in rows
+    ``>= start`` (``bumps[k]`` gains ``graph._powers[k]``), the new maximum
+    weight, the parent's new reply count and the new maximum reply count. A
+    caller that keeps the chain passes it as ``chain``."""
+    if chain is None:
+        chain = _ancestor_chain(graph, parent_idx)
     weight = graph._weight
     max_weight = graph._max_weight
-    if chain is None:
-        parent = graph._parent
-        damping = graph._damping
-        bumps: list[tuple[int, float]] = []
-        delta = damping
-        anc = parent_idx
-        while anc >= 0 and delta >= _MIN_ANCESTOR_DELTA:
-            adjusted = weight[anc] + delta
-            if adjusted > max_weight:
-                max_weight = adjusted
-            if anc >= start:
-                bumps.append((anc, delta))
-            delta *= damping
-            anc = parent[anc]
-    else:
-        cut = 0
-        for anc, delta in chain:
-            adjusted = weight[anc] + delta
-            if adjusted > max_weight:
-                max_weight = adjusted
-            if anc >= start:
-                cut += 1
-        bumps = chain[:cut]
+    for anc, delta in zip(chain, graph._powers):
+        adjusted = weight[anc] + delta
+        if adjusted > max_weight:
+            max_weight = adjusted
+    bumps = chain
+    if chain and chain[-1] < start:
+        # rows fall along the chain
+        bumps = chain[: bisect_right(chain, -start, key=neg)]
     parent_replies = graph._replies[parent_idx] + 1
     return bumps, max_weight, parent_replies, max(graph._max_replies, parent_replies)
+
+
+def _admission_patches(graph, parents, rows, chain_weights, deltas, start):
+    """``_admission_patch`` for many candidates at once: candidate i's parent
+    is row ``parents[i]``, whose ``_ancestor_chain`` is ``rows[i]``, with
+    PageRank weights ``chain_weights[i]`` and bumps ``deltas[i]``; chains are
+    padded with row -1, delta 0 and a weight of at most the maximum. Returns
+    arrays: the number of bumps (the chain's head in rows ``>= start``), the
+    new maximum weight, the parent's new reply count and the new maximum
+    reply count."""
+    max_weight = (chain_weights + deltas).max(axis=1)
+    np.maximum(max_weight, graph._max_weight, out=max_weight)
+    parent_replies = np.fromiter(map(graph._replies.__getitem__, parents.tolist()), np.intp) + 1
+    return (
+        (rows >= start).sum(axis=1),
+        max_weight,
+        parent_replies,
+        np.maximum(parent_replies, graph._max_replies),
+    )
 
 
 def build_graph(
@@ -491,22 +503,26 @@ def _hypothetical_mass_totals(
     candidate: ClassifiedComment,
     parent_id: str,
     weight_arr: np.ndarray | None = None,
+    chain: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Masses and total as if ``candidate`` were admitted under ``parent_id``;
     ``weight_arr`` may pass in the PageRank weights of the hypothetical
-    window's old rows, which it does not modify."""
+    window's old rows, which it does not modify, and ``chain`` the parent's
+    ``_ancestor_chain``."""
     parent_idx = graph._index.get(parent_id)
     if parent_idx is None:
         raise UnknownNodeError(parent_id)
     n = graph._n
     start = max(0, n + 1 - window_size)
     sl = slice(start, n)
-    bumps, max_weight, parent_replies, max_replies = _admission_patch(graph, parent_idx, start)
+    bumps, max_weight, parent_replies, max_replies = _admission_patch(
+        graph, parent_idx, start, chain
+    )
     if weight_arr is None:
         weight_arr = _window_weights(graph, start)
     elif bumps:
         weight_arr = weight_arr.copy()
-    for idx, delta in bumps:
+    for idx, delta in zip(bumps, graph._powers):
         weight_arr[idx - start] = graph._weight[idx] + delta
     log_replies_arr = graph._log_replies[sl]
     if parent_idx >= start:
@@ -515,8 +531,7 @@ def _hypothetical_mass_totals(
     infl = _influence(weights, graph._intensity[sl], weight_arr, graph._depth[sl],
                       log_replies_arr, max_weight, max_replies)
     mass = infl @ graph._vectors[sl]
-    cand_infl = _candidate_influence(graph, weights, candidate.intensity, parent_idx,
-                                     max_weight, max_replies)
+    cand_infl = _candidate_influence(graph, weights, candidate.intensity, parent_idx, max_weight)
     mass = mass + cand_infl * np.asarray(candidate.vector)
     return mass, float(mass.sum())
 

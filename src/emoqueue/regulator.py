@@ -80,21 +80,27 @@ is, fails both inequalities by the factor ``1 + tau``, with
 exact test, so every decision is the exact path's. ``submit`` is exact
 only, since most submitted comments pass.
 
-The screen comes in two forms that compute the same patches. A published
-comment's ancestor chain (``congraph._ancestor_chain``) never changes, so
-the engine builds it once, when the screen first meets a held child of it;
+The screen comes in two forms that compute the same patches: scalars for
+a few entries, arrays for many. A published comment's ancestor chain
+(``congraph._ancestor_chain``) never changes, so the engine builds it once,
+when the exact test or the screen first meets a child of it (a chain has
+one row per ``damping**k`` above ``2**-53``, 226 at the default damping);
 per graph state only the weights along it, the maxima and the window start
-are read. ``_screen_one`` screens one entry in scalars. ``_HeldScreen``
-keeps one array row per held entry the exact test can fail, filed as
-entries join and dropped as they leave, and screens every row a pass has
-left in one held x 8 array expression. A pass screens the first
-``_SCREEN_ALONE`` entries of each graph state one at a time, and the rest
-at once if ``_SCREEN_BATCH_MIN`` or more are left: the array expression
-costs about as much as five single screens, and the first entries of a
-pass, the least represented, are the likeliest to pass and so to end the
-state. The entry right after a release skips the screen: it sorts next to
-the entry just released, and in a storm's release cascades it usually
-passes too, so its screen would only add the new state's screen sums.
+are read.
+``_screen_one`` screens one entry in scalars. ``_HeldScreen`` keeps one
+array row per held entry the exact test can fail, filed as entries join and
+dropped as they leave, and screens every row a pass has left in one
+held x 8 array expression, with ``congraph._admission_patches`` and
+``congraph._candidate_influence`` on arrays. In storm graph states on
+2 cores the expression costs about 65 us plus under 1 us per row and a
+scalar screen about 6 us, so they break even near 12 entries: after the first
+entry of a graph state, a pass screens the rest at once if
+``_SCREEN_BATCH_MIN`` or more are left, and one at a time otherwise. The
+first entry of each graph state is tested alone. At the start of a pass it
+is the least represented, the likeliest to pass and so to end the state;
+right after a release it sorts next to the entry just released, and in a
+storm's release cascades it usually passes too, so it skips the screen and
+goes to the exact test.
 
 The bound. Each mass or total either path compares is a sum of
 non-negative products of at most four rounded factors. Summing k
@@ -151,10 +157,8 @@ DEFAULT_RHO = 0.5
 # below _SCREEN_MIN rounding errors stop being relative (gradual underflow)
 _SCREEN_ULPS = 8.0
 _SCREEN_MIN = 2.0**-900
-# a graph state screens this many held entries one at a time, and then the
-# rest of the pass at once if at least _SCREEN_BATCH_MIN are left (see the
-# module docstring)
-_SCREEN_ALONE = 4
+# after its first entry, a graph state screens the rest of the pass at once
+# if at least this many are left: the measured break-even (module docstring)
 _SCREEN_BATCH_MIN = 12
 _ZERO_VECTOR = (0.0,) * 8
 # a priority bucket's order: enqueue time, then id
@@ -249,7 +253,7 @@ class _Ancestry:
 
     __slots__ = ("chain", "sums")
 
-    def __init__(self, chain: tuple[tuple[int, float], ...]):
+    def __init__(self, chain: tuple[int, ...]):
         self.chain = chain
         self.sums: tuple[tuple[float, ...], ...] | None = None
 
@@ -326,18 +330,23 @@ def _bucket_share(percentages, dominant: EmotionKind | None) -> float:
 
 
 class _HeldScreen:
-    """What the re-test screen reads of the held entries the exact test can
+    """What the batched screen reads of the held entries the exact test can
     fail and whose parent is published, one row per entry, kept as entries
-    join and leave: the candidate's vector and its own influence terms, the
-    parent's row and vector, and the parent's ancestor chain as rows,
-    ``damping**k`` and running sums of ``damping**k`` times the ancestor's
-    vector. Chains are padded with row -1 and 0. Entries that join wait in
-    ``pending`` until the next screen files them all at once."""
+    join and leave: the candidate's vector and intensity, the parent's row
+    and vector, and the parent's ancestor chain as rows, as places in
+    ``chain_rows``, as ``damping**k`` and as running sums of ``damping**k``
+    times the ancestor's vector. ``chain_rows`` lists every row a filed chain
+    has named, the root first, so that a screen reads the PageRank weights of
+    those rows only. Chains are padded with row -1 at the root's place and
+    delta 0: the root's weight never exceeds the maximum. Entries that join
+    wait in ``pending`` until the next screen files them all at once."""
 
     def __init__(self) -> None:
         self.slot: dict[str, int] = {}
         self.ids: list[str] = []
         self.pending: list[QueueEntry] = []
+        self.chain_rows: list[int] = [0]
+        self.place: dict[int, int] = {0: 0}
         # log2(1 + r) at index r, as math.log2 rounds it (grown on demand)
         self.log2_table = np.zeros(0)
         self._set_arrays(16, 16)
@@ -348,10 +357,11 @@ class _HeldScreen:
     def _set_arrays(self, capacity: int, depth: int) -> None:
         fresh = {
             "vec": np.zeros((capacity, 8)),
-            "own": np.zeros(capacity),
+            "intensity": np.zeros(capacity),
             "parent": np.zeros(capacity, dtype=np.intp),
             "parent_vec": np.zeros((capacity, 8)),
             "rows": np.full((capacity, depth), -1, dtype=np.intp),
+            "places": np.zeros((capacity, depth), dtype=np.intp),
             "deltas": np.zeros((capacity, depth)),
             "prefix": np.zeros((capacity, depth + 1, 8)),
         }
@@ -365,10 +375,11 @@ class _HeldScreen:
     def _file_pending(
         self,
         graph: ConversationGraph,
-        weights: InfluenceWeights,
-        chains: list[tuple[tuple[int, float], ...]],
+        parents: list[int],
+        chains: list[tuple[int, ...]],
     ) -> None:
-        """File the pending entries, whose parents' chains are ``chains``."""
+        """File the pending entries, whose parents are in rows ``parents``
+        with ancestor chains ``chains``."""
         pending = self.pending
         self.pending = []
         k = len(self.ids)
@@ -379,32 +390,33 @@ class _HeldScreen:
                 capacity *= 2
             self._set_arrays(capacity, max(width, longest))
             width = self.rows.shape[1]
-        rows, deltas, own = [], [], []
-        depth = graph._depth
+        place, chain_rows, powers = self.place, self.chain_rows, graph._powers
+        rows, places, deltas = [], [], []
         for slot, (entry, chain) in enumerate(zip(pending, chains), k):
             pad = width - len(chain)
-            rows.append([row for row, _ in chain] + [-1] * pad)
-            deltas.append([delta for _, delta in chain] + [0.0] * pad)
-            own.append(
-                weights.intensity * entry.comment.intensity
-                + weights.depth / (1.0 + (float(depth[chain[0][0]]) + 1.0))
-            )
+            for row in chain:
+                if row not in place:
+                    place[row] = len(chain_rows)
+                    chain_rows.append(row)
+            rows.append(list(chain) + [-1] * pad)
+            places.append([place[row] for row in chain] + [0] * pad)
+            deltas.append(list(powers[: len(chain)]) + [0.0] * pad)
             self.slot[entry.comment.id] = slot
             self.ids.append(entry.comment.id)
         new = slice(k, len(self.ids))
         self.rows[new] = rows
+        self.places[new] = places
         self.deltas[new] = deltas
-        # a pad's 0 adds nothing to the running sums, and 0 plus the last
-        # row's weight never raises the maximum weight
+        # a pad's 0 adds nothing to the running sums
         np.cumsum(
             self.deltas[new, :, None] * graph._vectors[self.rows[new]],
             axis=1,
             out=self.prefix[new, 1:],
         )
-        parent = self.parent[new] = self.rows[new, 0]
-        self.parent_vec[new] = graph._vectors[parent]
+        self.parent[new] = parents
+        self.parent_vec[new] = graph._vectors[parents]
         self.vec[new] = [entry.comment.vector for entry in pending]
-        self.own[new] = own
+        self.intensity[new] = [entry.comment.intensity for entry in pending]
 
     def leave(self, entry: QueueEntry) -> None:
         slot = self.slot.pop(entry.comment.id, None)
@@ -416,8 +428,8 @@ class _HeldScreen:
         last = len(self.ids) - 1
         if slot != last:
             for arr in (
-                self.vec, self.own, self.parent, self.parent_vec, self.rows, self.deltas,
-                self.prefix,
+                self.vec, self.intensity, self.parent, self.parent_vec, self.rows, self.places,
+                self.deltas, self.prefix,
             ):
                 arr[slot] = arr[last]
             moved = self.ids[last]
@@ -433,29 +445,24 @@ class _HeldScreen:
         positions: list[int],
     ) -> np.ndarray:
         """The screen of the rows in ``positions`` in one graph state, True
-        only where ``Engine._passes`` is False: the hypothetical masses from
-        the window's term sums, with the same patches as the exact test,
-        beyond the limits ``sums`` gives."""
+        only where ``Engine._passes`` is False: ``Engine._screen_one`` in
+        arrays."""
         start, base, sum_w, sum_r, limits, floor = sums
         idx = np.array(positions, np.intp)
-        rows = self.rows[idx]
-        weight = np.fromiter(graph._weight, float, graph._n)
-        max_weight = (weight[rows] + self.deltas[idx]).max(axis=1)
-        np.maximum(max_weight, graph._max_weight, out=max_weight)
         parent = self.parent[idx]
-        replies = graph._replies
-        # the parent's new reply count, and the new maximum
-        new_replies = np.array([replies[p] + 1 for p in parent.tolist()])
-        max_replies = np.maximum(new_replies, graph._max_replies)
+        chain_weights = np.fromiter(map(graph._weight.__getitem__, self.chain_rows), float)
+        cut, max_weight, parent_replies, max_replies = congraph._admission_patches(
+            graph, parent, self.rows[idx], chain_weights[self.places[idx]], self.deltas[idx], start
+        )
         table = self.log2_table
         if len(table) <= graph._max_replies + 1:
             size = 2 * (graph._max_replies + 2)
             table = self.log2_table = np.array([math.log2(1.0 + r) for r in range(size)])
-        patch_r = table[new_replies] - graph._log_replies[parent]
+        patch_r = table[parent_replies] - graph._log_replies[parent]
         patch_r[parent < start] = 0.0
         coef_w = weights.pagerank / max_weight
         coef_r = weights.replies / table[max_replies]
-        hyp = self.prefix[idx, (rows >= start).sum(axis=1)]
+        hyp = self.prefix[idx, cut]
         hyp += sum_w
         hyp *= coef_w[:, None]
         hyp += base
@@ -463,7 +470,9 @@ class _HeldScreen:
         reply_terms += sum_r
         reply_terms *= coef_r[:, None]
         hyp += reply_terms
-        cand = self.own[idx] + coef_w
+        cand = congraph._candidate_influence(
+            graph, weights, self.intensity[idx], parent, max_weight
+        )
         hyp += self.vec[idx] * cand[:, None]
         limit = hyp.sum(axis=1)[:, None] * limits
         np.maximum(limit, floor, out=limit)
@@ -471,40 +480,37 @@ class _HeldScreen:
 
 
 class _PassScreen:
-    """The screen of one pass over ``order``: in each graph state, the first
-    ``_SCREEN_ALONE`` entries one at a time, then, if ``_SCREEN_BATCH_MIN``
-    or more are left, every entry left in the pass at once. The first entry
-    after a release goes to the exact test unscreened."""
+    """The screen of one pass over ``order``. The first entry of each graph
+    state is tested alone: at the start of the pass it gets the scalar
+    screen, after a release none. The rest of the state is screened at once
+    if ``_SCREEN_BATCH_MIN`` or more entries are left, one at a time
+    otherwise."""
 
     def __init__(self, engine: "Engine", order: list[QueueEntry]):
         self.engine = engine
         self.order = order
         self.mask: list[bool] | None = None
-        self.alone = 0
+        self.first = True
         self.released = False
 
     def rejects(self, entry: QueueEntry, i: int) -> bool:
         """True only where ``_passes`` is False, for ``order[i]``."""
         engine = self.engine
-        if (
-            self.mask is None
-            and self.alone >= _SCREEN_ALONE
-            and len(self.order) - i >= _SCREEN_BATCH_MIN
-        ):
+        if self.first:
+            self.first = False
+            return not self.released and engine._screen_one(entry)
+        if self.mask is None and len(self.order) - i >= _SCREEN_BATCH_MIN:
             self.mask = engine._screen_mask(self.order, i)
         if self.mask is not None:
             slot = engine._screen.slot.get(entry.comment.id)
             if slot is not None:
                 return self.mask[slot]
-        self.alone += 1
-        if self.alone == 1 and self.released:
-            return False
         return engine._screen_one(entry)
 
     def admitted(self) -> None:
         """An entry was released: the graph state changed."""
         self.mask = None
-        self.alone = 0
+        self.first = True
         self.released = True
 
 
@@ -667,6 +673,7 @@ class Engine:
             comment,
             parent_id,
             self._hypothetical_weights(state),
+            self._ancestry(graph._index[parent_id]).chain,
         )
         if hyp_total <= 0.0:
             return True
@@ -742,9 +749,8 @@ class Engine:
         assert graph is not None
         parent_idx = graph._index[entry.parent_id]
         ancestry = self._ancestry(parent_idx)
-        chain = ancestry.chain
         bumps, max_weight, parent_replies, max_replies = congraph._admission_patch(
-            graph, parent_idx, start, chain
+            graph, parent_idx, start, ancestry.chain
         )
         comments = graph._comments
         sums = ancestry.sums
@@ -752,7 +758,7 @@ class Engine:
             # the window only moves on, so the first screen needs the most
             running = _ZERO_VECTOR
             sums = [running]
-            for idx, delta in bumps:
+            for idx, delta in zip(bumps, graph._powers):
                 running = tuple([r + delta * v for r, v in zip(running, comments[idx].vector)])
                 sums.append(running)
             ancestry.sums = sums = tuple(sums)
@@ -764,8 +770,8 @@ class Engine:
         coef_w = w.pagerank / max_weight
         coef_r = w.replies / math.log2(1.0 + max_replies)
         comment = entry.comment
-        cand = congraph._candidate_influence(
-            graph, w, comment.intensity, parent_idx, max_weight, max_replies
+        cand = float(
+            congraph._candidate_influence(graph, w, comment.intensity, parent_idx, max_weight)
         )
         hyp = [
             b + coef_w * (sw + pw) + coef_r * (sr + patch_r * pv) + cand * cv
@@ -786,8 +792,8 @@ class Engine:
         screen = self._screen
         if screen.pending:
             index = self.graph._index
-            chains = [self._ancestry(index[e.parent_id]).chain for e in screen.pending]
-            screen._file_pending(self.graph, self.weights, chains)
+            parents = [index[e.parent_id] for e in screen.pending]
+            screen._file_pending(self.graph, parents, [self._ancestry(p).chain for p in parents])
         mask = [False] * len(screen)
         slot = screen.slot
         positions = [slot[e.comment.id] for e in order[start:] if e.comment.id in slot]

@@ -65,6 +65,25 @@ def oracle_pagerank_solve(parents: list[int], damping: float = 0.85) -> np.ndarr
     return np.linalg.solve(A, b)
 
 
+def subtree_shapes(parents: list[int]) -> list[int]:
+    """Per node, the first node whose subtree has the same shape. A reply
+    tree's PageRank is ``K + damping * (sum of the children's scores)``, with
+    ``K`` the same for every node, so it depends on the subtree's shape only;
+    sharing one solved value keeps these mathematically exact ties exact."""
+    children: list[list[int]] = [[] for _ in parents]
+    for child, parent in enumerate(parents):
+        if parent >= 0:
+            children[parent].append(child)
+    shape_ids: dict[tuple[int, ...], int] = {}
+    shape = [0] * len(parents)
+    for node in reversed(range(len(parents))):  # children come after parents
+        shape[node] = shape_ids.setdefault(
+            tuple(sorted(shape[c] for c in children[node])), len(shape_ids)
+        )
+    first: dict[int, int] = {}
+    return [first.setdefault(s, node) for node, s in enumerate(shape)]
+
+
 class ReferenceEngine:
     """Cache-free replay of the queuing protocol, everything from scratch."""
 
@@ -86,7 +105,7 @@ class ReferenceEngine:
 
     def _influences(self, nodes: list[tuple[ClassifiedComment, int]]) -> list[float]:
         parents = [p for _, p in nodes]
-        pr = oracle_pagerank_solve(parents, 0.85)
+        pr = oracle_pagerank_solve(parents, 0.85)[subtree_shapes(parents)]
         max_pr = float(pr.max())
         n = len(nodes)
         replies = [0] * n

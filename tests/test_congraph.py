@@ -23,7 +23,7 @@ from emoqueue.congraph import (
 from emoqueue.emolex import EmotionKind
 
 from helpers import INTENSITY_ONLY, make_comment
-from reference import oracle_pagerank_power, oracle_pagerank_solve
+from reference import oracle_pagerank_power, oracle_pagerank_solve, subtree_shapes
 
 GOLDEN = Path(__file__).parent / "data" / "golden_snapshot.json"
 
@@ -171,6 +171,20 @@ class TestPageRank:
             shares = g.pagerank_shares()
             assert np.abs(shares - exact).max() < 1e-12
             assert abs(shares.sum() - 1.0) < 1e-12
+
+    def test_same_subtree_shape_same_score(self):
+        # the reference replay gives nodes of one subtree shape one score
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            n = int(rng.integers(1, 40))
+            parents = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+            exact = oracle_pagerank_solve(parents)
+            shapes = subtree_shapes(parents)
+            assert all(shapes[shapes[i]] == shapes[i] <= i for i in range(n))
+            assert np.abs(exact - exact[shapes]).max() <= 1e-15 * exact.max()
+            # every leaf has one shape
+            leaves = set(range(n)) - set(parents)
+            assert len({shapes[i] for i in leaves}) == 1
 
     def test_scores_sum_to_one(self):
         g = chain_graph()
@@ -485,20 +499,18 @@ class TestAdmissionPatch:
             bumps, max_weight, parent_replies, max_replies = _admission_patch(
                 g, parent_idx, start
             )
-            cand_infl = _candidate_influence(
-                g, weights, cand.intensity, parent_idx, max_weight, max_replies
-            )
+            cand_infl = _candidate_influence(g, weights, cand.intensity, parent_idx, max_weight)
             old = list(g._weight)
             g.add(cand)
             assert g._max_weight == max_weight
             assert g._max_replies == max_replies
             assert g.reply_count_of(cand.parent_id) == parent_replies
-            assert all(start <= row < n for row, _ in bumps)
-            for row, delta in bumps:
+            assert all(start <= row < n for row in bumps)
+            for row, delta in zip(bumps, g._powers):
                 assert g._weight[row] == old[row] + delta
             # no row in the window changed without a bump
             changed = {i for i in range(start, n) if g._weight[i] != old[i]}
-            assert changed <= {row for row, _ in bumps}
+            assert changed <= set(bumps)
             assert node_influence(g, cand.id, weights) == cand_infl
         if shape != "wide-star":
             assert max(g.depth_of(c.id) for c in comments) > 226

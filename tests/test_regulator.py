@@ -82,6 +82,18 @@ def storm_conversation(seed, lexicon, emoji_lexicon, config, comments=200):
     return records, classified
 
 
+def replay(eng: Engine, records, classified) -> None:
+    """Submit one conversation in stream order, deferring comments whose
+    parent has not arrived, and finalize it."""
+    for record, comment in zip(records, classified):
+        parent = comment.parent_id
+        defer = parent is not None and parent not in eng.entries and (
+            eng.graph is None or parent not in eng.graph
+        )
+        eng.submit(comment, now=record.created_at, defer_missing_parent=defer)
+    eng.finalize(records[-1].created_at)
+
+
 class TestThresholdConfig:
     def test_defaults_match_the_governed_bases(self):
         cfg = ThresholdConfig()
@@ -725,6 +737,26 @@ class TestOracleEquivalence:
             ("r7", "r1", 1061.0, "furious the"),
         )
     )
+    @example(
+        # at the last finalize r8 (sadness) and r1 (disgust), sibling leaves
+        # of equal influence, give their emotions equal shares, so r6 sorts
+        # before r10 by time; the reference's PageRank solve once split them
+        _stream(
+            5,
+            ("r0", None, 1000.0, "furious the"),
+            ("r3", "r1", 1000.0, "furious the"),
+            ("r4", "r0", 1000.0, "furious the"),
+            ("r5", "r1", 1000.0, "furious the"),
+            ("r8", "r0", 1000.0, "grief the"),
+            ("r9", "r0", 1000.0, "furious the"),
+            ("r11", "r0", 1000.5, "furious the"),
+            ("r2", "r0", 1000.5, "afraid the"),
+            ("r1", "r0", 1061.5, "filth the"),
+            ("r6", "r3", 1061.5, "grief the"),
+            ("r10", "r3", 1062.0, "filth the"),
+            ("r7", "r3", 1062.0, "furious the"),
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_engine_matches_reference_on_raw_streams(self, lexicon, emoji_lexicon, stream):
         records, config = stream
@@ -925,8 +957,9 @@ def screened_cases(draw):
 
 def screen_rejections(eng: Engine, candidates) -> dict[str, list[bool]]:
     """Whether the screen rejects held entries for ``candidates`` in
-    ``eng``'s graph state, per path: the scalar screen, a one-entry batch of
-    each, and one batch of all."""
+    ``eng``'s graph state, per path: the scalar screen (in turn, so that
+    later candidates read the ancestor sums earlier ones cached), a
+    one-entry batch of each, and one batch of all."""
     entries = [QueueEntry(c, c.parent_id, c.created_at) for c in candidates]
 
     def batch(group):
@@ -940,6 +973,28 @@ def screen_rejections(eng: Engine, candidates) -> dict[str, list[bool]]:
         "one-entry batch": [batch([e])[0] for e in entries],
         "batch": batch(entries),
     }
+
+
+def watch_screens(eng: Engine, scalar, batched) -> None:
+    """Call ``scalar(entry, rejected)`` after each scalar screen of ``eng``
+    and ``batched(entry, rejected)`` for each entry a batched screen covers."""
+    one, mask_of = eng._screen_one, eng._screen_mask
+
+    def watched_one(entry):
+        rejected = one(entry)
+        scalar(entry, rejected)
+        return rejected
+
+    def watched_mask(order, start):
+        mask = mask_of(order, start)
+        slot = eng._screen.slot
+        for entry in order[start:]:
+            if entry.comment.id in slot:
+                batched(entry, mask[slot[entry.comment.id]])
+        return mask
+
+    eng._screen_one = watched_one
+    eng._screen_mask = watched_mask
 
 
 class TestRetestScreen:
@@ -996,7 +1051,6 @@ class TestRetestScreen:
         records, classified = storm_conversation(3, lexicon, emoji_lexicon, config, 400)
         eng = Engine()
         outcomes = {"rejected": 0, "deferred_failing": 0, "batched": 0}
-        one, batch = eng._screen_one, eng._screen_mask
 
         def audit(entry, rejected):
             exact = eng._passes(entry.comment, entry.parent_id, eng.processed_count)
@@ -1006,32 +1060,29 @@ class TestRetestScreen:
             elif not exact:
                 outcomes["deferred_failing"] += 1
 
-        def audited_one(entry):
-            rejected = one(entry)
+        def counted(entry, rejected):
+            outcomes["batched"] += 1
             audit(entry, rejected)
-            return rejected
 
-        def audited_batch(order, start):
-            mask = batch(order, start)
-            slot = eng._screen.slot
-            for entry in order[start:]:
-                if entry.comment.id in slot:
-                    outcomes["batched"] += 1
-                    audit(entry, mask[slot[entry.comment.id]])
-            return mask
-
-        eng._screen_one = audited_one
-        eng._screen_mask = audited_batch
-        for record, comment in zip(records, classified):
-            parent = comment.parent_id
-            defer = parent is not None and parent not in eng.entries and (
-                eng.graph is None or parent not in eng.graph
-            )
-            eng.submit(comment, now=record.created_at, defer_missing_parent=defer)
-        eng.finalize(records[-1].created_at)
+        watch_screens(eng, audit, counted)
+        replay(eng, records, classified)
         assert outcomes["rejected"] > 1000
         assert outcomes["deferred_failing"] <= outcomes["rejected"] // 100
         assert outcomes["batched"] > 300
+
+    def test_tiny_damping_screens_without_ancestors(self, lexicon, emoji_lexicon):
+        # below damping 2**-53 a child bumps no ancestor: every chain is empty
+        records, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig())
+        screened, unscreened = Engine(damping=1e-17), Engine(damping=1e-17)
+        batched = []
+        watch_screens(screened, lambda entry, rejected: None, lambda *screen: batched.append(1))
+        unscreened._screen_one = lambda entry: False
+        unscreened._screen_mask = lambda order, start: [False] * len(unscreened._screen)
+        for eng in (screened, unscreened):
+            replay(eng, records, classified)
+        assert screened.decisions == unscreened.decisions
+        assert screened._ancestries and not any(a.chain for a in screened._ancestries.values())
+        assert len(batched) > 100
 
     def test_screen_limits_follow_the_thresholds(self):
         # a held submission moves the thresholds (here by decay) but not the
