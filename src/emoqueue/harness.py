@@ -593,9 +593,19 @@ def _default_emoji_lexicon() -> EmojiLexicon:
 
 @dataclass
 class _ConvOutcome:
-    rows: list
+    """What ``_assemble`` reads of one conversation replayed in one queue
+    mode. The admission ledger has one item per admitted comment, in
+    admission order: ``ids``, ``tags`` (the submission's tag), ``influence``
+    (at admission) and ``vectors`` (emotion vectors, one row each).
+    ``revised`` holds the ids revised at a finalize; those admitted were
+    released after the revision."""
+
+    ids: list[str]
+    tags: list[int]
+    influence: list[float]
+    vectors: np.ndarray
+    revised: set[str]
     total: int
-    admitted: int
     ever_held: int
     suspended: int
     orphans: int
@@ -603,7 +613,6 @@ class _ConvOutcome:
     final_board: tuple[float, ...]
     contributing: int
     decision_log: list[DecisionRow] | None
-    decisions: list[tuple[str, str]]
 
 
 def _simulate_conversation(
@@ -613,8 +622,9 @@ def _simulate_conversation(
     config: SimulationConfig,
     queue_enabled: bool,
     log_decisions: bool,
-) -> _ConvOutcome:
-    """Replay one conversation through an engine.
+) -> tuple[Engine, int]:
+    """Replay one conversation through an engine; returns the engine and the
+    number of records it published under the root instead of their parent.
 
     Records are processed in replay order; a record whose parent id does not
     occur in this conversation at all is reattached under the root, while a
@@ -677,22 +687,30 @@ def _simulate_conversation(
 
     if prev_t is not None:
         engine.finalize(prev_t)
+    return engine, orphans + engine.orphan_count
+
+
+def _outcome(engine: Engine, orphans: int) -> _ConvOutcome:
+    """The ``_ConvOutcome`` of a replayed engine; the ledger's ids and vectors
+    are its graph's rows."""
+    graph = engine.graph
     final = engine.board()
-    durations = [
-        e.hold_duration for e in engine.entries.values() if e.hold_duration is not None
-    ]
     return _ConvOutcome(
-        rows=engine.admissions,
-        total=len(records),
-        admitted=engine.admitted_count,
+        ids=graph._ids,
+        tags=engine.admission_tags,
+        influence=engine.admission_influence,
+        vectors=graph._vectors[: len(graph)],
+        revised={cid for cid, entry in engine.entries.items() if entry.revised},
+        total=engine.processed_count,
         ever_held=engine.ever_held_count,
         suspended=engine.suspended_count,
-        orphans=orphans + engine.orphan_count,
-        durations=durations,
+        orphans=orphans,
+        durations=[
+            e.hold_duration for e in engine.entries.values() if e.hold_duration is not None
+        ],
         final_board=final.percentages,
         contributing=final.contributing,
-        decision_log=engine.decision_log if log_decisions else None,
-        decisions=engine.decisions,
+        decision_log=engine.decision_log if engine.log_decisions else None,
     )
 
 
@@ -714,8 +732,8 @@ def _replay_conversation(
         for r in records
     ]
     return [
-        _simulate_conversation(records, tags, classified, config, queue_enabled, log_decisions)
-        for queue_enabled in modes
+        _outcome(*_simulate_conversation(records, tags, classified, config, mode, log_decisions))
+        for mode in modes
     ]
 
 
@@ -726,33 +744,28 @@ def _assemble(
     chash: str,
     config: SimulationConfig,
 ) -> RunReport:
-    rows = []
-    for conv_idx, outcome in enumerate(outcomes):
-        for row in outcome.rows:
-            rows.append((row.tag, conv_idx, row.seq, row.comment_id, row.mass, row.revised))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    n_rows = len(rows)
-    masses = np.zeros((n_rows, 8))
-    for i, row in enumerate(rows):
-        masses[i] = row[4]
-    cumulative = np.cumsum(masses, axis=0)
+    ids = list(chain.from_iterable(o.ids for o in outcomes))
+    tags = np.fromiter(chain.from_iterable(o.tags for o in outcomes), np.int64, len(ids))
+    influence = np.fromiter(chain.from_iterable(o.influence for o in outcomes), float, len(ids))
+    vectors = np.concatenate([o.vectors for o in outcomes])
+    # the series is in tag order; a stable sort keeps equal tags in
+    # conversation order, then admission order
+    order = np.argsort(tags, kind="stable")
+    cumulative = np.cumsum(influence[order, None] * vectors[order], axis=0)
+    series_ids = [ids[i] for i in order.tolist()]
+    revised = set().union(*(o.revised for o in outcomes))
     total = sum(o.total for o in outcomes)
-    admitted = sum(o.admitted for o in outcomes)
+    admitted = len(ids)
     ever_held = sum(o.ever_held for o in outcomes)
     suspended = sum(o.suspended for o in outcomes)
-    durations: list[float] = []
-    for outcome in outcomes:
-        durations.extend(outcome.durations)
+    durations = list(chain.from_iterable(o.durations for o in outcomes))
     boards = np.array([o.final_board for o in outcomes])
     final_board = EmotionBoard(
         percentages=tuple(float(v) for v in boards.mean(axis=0)),
         window_size=config.window_size,
         contributing=sum(o.contributing for o in outcomes),
     )
-    if n_rows:
-        spread = float(cumulative[-1, ANGER_IDX] + cumulative[-1, FEAR_IDX])
-    else:
-        spread = 0.0
+    spread = float(cumulative[-1, ANGER_IDX] + cumulative[-1, FEAR_IDX])
     decision_log: list[DecisionRow] | None = None
     if outcomes and outcomes[0].decision_log is not None:
         decision_log = list(chain.from_iterable(o.decision_log or () for o in outcomes))
@@ -768,9 +781,9 @@ def _assemble(
         mean_hold=float(np.mean(durations)) if durations else 0.0,
         median_hold=float(np.median(durations)) if durations else 0.0,
         final_board=final_board,
-        series_ids=[r[3] for r in rows],
-        series_tags=[r[0] for r in rows],
-        series_revised=[r[5] for r in rows],
+        series_ids=series_ids,
+        series_tags=tags[order].tolist(),
+        series_revised=[cid in revised for cid in series_ids],
         cumulative=cumulative,
         anger_fear_spread=spread,
         stream_hash=shash,

@@ -273,17 +273,6 @@ class QueueEntry:
     hold_duration: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionRow:
-    """One admission into the graph, for spread accounting."""
-
-    seq: int
-    tag: int
-    comment_id: str
-    mass: tuple[float, ...]
-    revised: bool
-
-
 class DecisionRow(NamedTuple):
     """One logged decision. Boards are percentages in ``EMOTION_NAMES``
     order, rounded to 6 decimals; ``thresholds`` are the effective
@@ -559,7 +548,11 @@ class Engine:
         self._screen = _HeldScreen()
         self._ancestries: dict[int, _Ancestry] = {}
         self._suspended_ids: set[str] = set()
-        self.admissions: list[AdmissionRow] = []
+        # the admission ledger, one item per graph row (the graph holds each
+        # row's comment id and vector): the tag of the submission during which
+        # the comment was admitted, and its influence at admission
+        self.admission_tags: list[int] = []
+        self.admission_influence: list[float] = []
         self.decisions: list[tuple[str, str]] = []
         self.decision_log: list[DecisionRow] = []
         self._last_now = float("-inf")
@@ -823,17 +816,9 @@ class Engine:
         if self.queue_enabled or self.log_decisions:
             # without a queue nothing reads the activity regime
             self._push_admission_time(now)
+        self.admission_tags.append(self._current_tag)
         infl = congraph.node_influence(self.graph, comment.id, self.weights)
-        mass = tuple(infl * v for v in comment.vector)
-        self.admissions.append(
-            AdmissionRow(
-                seq=len(self.admissions),
-                tag=self._current_tag,
-                comment_id=comment.id,
-                mass=mass,
-                revised=kind == "revised_released",
-            )
-        )
+        self.admission_influence.append(infl)
         self.decisions.append((comment.id, kind))
 
     def _log(

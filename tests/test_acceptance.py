@@ -125,10 +125,10 @@ def _equivalence_chunk(chunk_seed: int) -> tuple[int, int]:
             for r in group
         ]
         tags = list(range(len(group)))
-        outcome = _simulate_conversation(group, tags, classified, CAL_CONFIG, True, False)
+        engine, _ = _simulate_conversation(group, tags, classified, CAL_CONFIG, True, False)
         reference = reference_replay(group, classified, CAL_CONFIG, queue_enabled=True)
         conversations += 1
-        if outcome.decisions != reference.decisions:
+        if engine.decisions != reference.decisions:
             mismatches += 1
     return conversations, mismatches
 

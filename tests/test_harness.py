@@ -318,6 +318,22 @@ class TestRunWithQueue:
         _, wq = run_paired(records)
         assert np.all(np.diff(wq.cumulative, axis=0) >= 0.0)
 
+    def test_series_in_stream_order_across_conversations(self):
+        # two conversations interleave in time, and b1 comes before its root
+        # (the replay buffers it until b0 is published)
+        records = [
+            make_record("a0", None, 0.0, "celebrate the road"),
+            make_record("b1", "b0", 1.0, "the plan"),
+            make_record("b0", None, 2.0, "delight the"),
+            make_record("a1", "a0", 3.0, "furious the"),
+            make_record("b2", "b0", 4.0, "grief about"),
+            make_record("a2", "a1", 5.0, "the road"),
+        ]
+        nq, wq = run_paired(records)
+        assert nq.series_ids == [r.id for r in records]
+        assert nq.series_tags == list(range(len(records)))
+        assert wq.series_tags == sorted(wq.series_tags)
+
     def test_governed_stream_never_exceeds_no_queue_mass_at_any_index(self):
         # all-governed stream, influence decoupled from engagement so each
         # comment's mass is the same in both runs; then deferral/suspension
@@ -568,11 +584,16 @@ class TestDecisionLines:
         lines = decision_lines(rows)
         assert lines == [expanded_line(seq, row) for seq, row in enumerate(rows)]
 
-    # SHA-256 of decisions.log on a fixed stream; a change to the log's
-    # fields or formatting updates these on purpose
+    # SHA-256 of decisions.log and of emotion_timeseries.csv on a fixed
+    # stream; a change to the log's fields or formatting, or to the spread
+    # series, updates these on purpose
     DIGESTS = {
         False: "c10c7fbaa75c845eb4e121e85d3412086189c1021bcf86de9655b82c5a37856c",
         True: "6458f4a5a8d335547026e0cb1c429fa1ac7275e2085e31a5e2bc66713b325c76",
+    }
+    TIMESERIES_DIGESTS = {
+        False: "d798b649c80fc724a6b11d1d3783ab2e438a39f3b1160ead633b14384cf3e109",
+        True: "c398175f160790b0774757a0813c4d02a00a8614386a83854e1c35d38fae2b6a",
     }
 
     @pytest.mark.parametrize("queue_enabled", [False, True], ids=["queue-off", "queue-on"])
@@ -580,5 +601,8 @@ class TestDecisionLines:
         spec = SyntheticSpec(conversations=3, comments_per_conversation=60, troll_rate=0.3)
         run = run_with_queue if queue_enabled else run_without_queue
         report = run(generate_synthetic(spec, 5), log_decisions=True)
-        data = (write_run_dir(report, tmp_path) / "decisions.log").read_bytes()
+        run_dir = write_run_dir(report, tmp_path)
+        data = (run_dir / "decisions.log").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[queue_enabled]
+        series = (run_dir / "emotion_timeseries.csv").read_bytes()
+        assert hashlib.sha256(series).hexdigest() == self.TIMESERIES_DIGESTS[queue_enabled]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -552,13 +551,13 @@ class TestIdleTimeout:
             )
             for r in records
         ]
-        outcome = _simulate_conversation(records, [0, 1, 2], classified, config, True, False)
+        engine, _ = _simulate_conversation(records, [0, 1, 2], classified, config, True, False)
         # the held anger comment resolves at the idle finalize (t=610),
         # not at stream end; the late neutral comment still admits
-        decisions = dict(outcome.decisions)
+        decisions = dict(engine.decisions)
         assert decisions["late"] == "admitted"
         assert decisions["x"] in ("revised_released", "suspended")
-        assert outcome.durations == [600.0]
+        assert [e.hold_duration for e in engine.entries.values()] == [600.0]
 
 
 class TestDecisionLog:
@@ -625,13 +624,15 @@ class TestLoggingOffCostsNothing:
         assert calls[0] > 0
 
 
-# words the lexicons give one dominant emotion, and filler they skip
+# words the lexicons give one dominant emotion, and filler they skip; the
+# emoji include adjacent pairs with no space between them (one token, scored
+# per codepoint) and the lexicon's two-codepoint heart (U+2764 U+FE0F)
 _STREAM_WORDS = {
-    "anger": ("furious", "enraged", "\U0001f621"),
-    "disgust": ("filth", "foul", "\U0001f922"),
-    "fear": ("afraid", "dread", "\U0001f631"),
-    "sadness": ("grief", "gloom"),
-    "joy": ("celebrate", "delight", "\u2728"),
+    "anger": ("furious", "enraged", "\U0001f621", "\U0001f621\U0001f92c"),
+    "disgust": ("filth", "foul", "\U0001f922", "\U0001f922\U0001f92e"),
+    "fear": ("afraid", "dread", "\U0001f631", "\U0001f631\U0001f628"),
+    "sadness": ("grief", "gloom", "\U0001f622", "\U0001f62d\U0001f494"),
+    "joy": ("celebrate", "delight", "\u2728", "\u2764\ufe0f", "\u2728\u2764\ufe0f"),
     "trust": ("credible", "faithful"),
     "surprise": ("amazed", "baffled"),
 }
@@ -650,8 +651,8 @@ def raw_streams(draw):
     in tree order, or to an id missing from the stream. Timestamps follow a
     random permutation, so children may come before their parents and the
     root need not come first. Gaps repeat timestamps or straddle the idle
-    timeout; the text may be all governed; the window is one comment or
-    longer than the stream."""
+    timeout; the comments may be all governed, and a text may be only
+    emoji, or empty; the window is one comment or longer than the stream."""
     n = draw(st.integers(min_value=2, max_value=12))
     governed = draw(st.booleans())
     kinds = ("anger", "disgust", "fear", "sadness") if governed else (*_STREAM_WORDS, None)
@@ -671,7 +672,7 @@ def raw_streams(draw):
         words = []
         if kind is not None:
             words = draw(st.lists(st.sampled_from(_STREAM_WORDS[kind]), min_size=1, max_size=3))
-        words += draw(st.lists(st.sampled_from(_STREAM_FILLER), min_size=1, max_size=4))
+        words += draw(st.lists(st.sampled_from(_STREAM_FILLER), max_size=4))
         records.append(make_record(f"r{i}", parent, stamps[i], " ".join(words)))
     records.sort(key=lambda r: (r.created_at, r.id))
     window = draw(st.sampled_from([1, 2, 5, 100]))
@@ -706,9 +707,9 @@ class TestOracleEquivalence:
                     for r in group
                 ]
                 tags = list(range(len(group)))
-                outcome = _simulate_conversation(group, tags, classified, config, True, False)
+                engine, _ = _simulate_conversation(group, tags, classified, config, True, False)
                 ref = reference_replay(group, classified, config, queue_enabled=True)
-                if outcome.decisions != ref.decisions:
+                if engine.decisions != ref.decisions:
                     mismatches += 1
         assert mismatches == 0
 
@@ -757,6 +758,16 @@ class TestOracleEquivalence:
             ("r7", "r3", 1062.0, "furious the"),
         )
     )
+    @example(
+        # r2 (intensity 4/21) is held; the last finalize halves it below
+        # the 0.1 floor, which it is raised to, and releases it
+        _stream(
+            5,
+            ("r0", None, 1000.5, "grief the"),
+            ("r1", "r0", 1003.5, "furious"),
+            ("r2", "r0", 1004.0, "furious" + " the" * 20),
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_engine_matches_reference_on_raw_streams(self, lexicon, emoji_lexicon, stream):
         records, config = stream
@@ -767,25 +778,26 @@ class TestOracleEquivalence:
             )
             for r in records
         ]
-        engines = []
-
-        class Recorded(Engine):
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                engines.append(self)
-
         for queue in (True, False):
-            with mock.patch.object(harness, "Engine", Recorded):
-                outcome = _simulate_conversation(
-                    records, list(range(len(records))), classified, config, queue, False
-                )
+            engine, orphans = _simulate_conversation(
+                records, list(range(len(records))), classified, config, queue, False
+            )
             ref = reference_replay(records, classified, config, queue_enabled=queue)
-            assert outcome.decisions == ref.decisions
-            engine = engines[-1]
+            assert engine.decisions == ref.decisions
             assert engine.conservation_holds()
             assert {cid: e.reeval_count for cid, e in engine.entries.items()} == {
                 cid: e["reeval"] for cid, e in ref.entries.items()
             }
+            # the spread series: the reference's admissions and mass ledger
+            report = harness._assemble(
+                [harness._outcome(engine, orphans)], queue, "", "", config
+            )
+            assert sorted(report.series_ids) == sorted(cid for cid, _, _ in ref.admission_masses)
+            assert {cid for cid, r in zip(report.series_ids, report.series_revised) if r} == {
+                cid for cid, kind in ref.decisions if kind == "revised_released"
+            }
+            ledger = np.sum([mass for _, _, mass in ref.admission_masses], axis=0)
+            assert np.abs(report.cumulative[-1] - ledger).max() < 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("governed", [False, True], ids=["ungoverned", "default"])
@@ -818,12 +830,12 @@ class TestOracleEquivalence:
             )
             for r in records
         ]
-        outcome = _simulate_conversation(
+        engine, _ = _simulate_conversation(
             records, list(range(len(records))), classified, config, True, False
         )
         ref = reference_replay(records, classified, config, queue_enabled=True)
-        assert outcome.decisions == ref.decisions
-        kinds = [kind for _, kind in outcome.decisions]
+        assert engine.decisions == ref.decisions
+        kinds = [kind for _, kind in engine.decisions]
         if not governed:
             assert kinds == ["admitted"] * len(records)
             return
@@ -849,12 +861,12 @@ class TestOracleEquivalence:
         # decision after the first holds is a screened re-test
         config = SimulationConfig(window_size=window, weights=weights)
         records, classified = storm_conversation(seed, lexicon, emoji_lexicon, config)
-        outcome = _simulate_conversation(
+        engine, _ = _simulate_conversation(
             records, list(range(len(records))), classified, config, True, False
         )
         ref = reference_replay(records, classified, config, queue_enabled=True)
-        assert outcome.decisions == ref.decisions
-        assert "held" in {kind for _, kind in outcome.decisions}
+        assert engine.decisions == ref.decisions
+        assert "held" in {kind for _, kind in engine.decisions}
 
     @staticmethod
     def reshaped_replay(lexicon, emoji_lexicon, troll_rate, reshape):
@@ -872,11 +884,11 @@ class TestOracleEquivalence:
             )
             for r in records
         ]
-        outcome = _simulate_conversation(
+        engine, _ = _simulate_conversation(
             records, list(range(len(records))), classified, config, True, False
         )
         ref = reference_replay(records, classified, config, queue_enabled=True)
-        return outcome.decisions, ref.decisions
+        return engine.decisions, ref.decisions
 
     @pytest.mark.parametrize("troll_rate", [0.15, 0.6])
     def test_engine_matches_reference_on_wide_stars(self, lexicon, emoji_lexicon, troll_rate):
@@ -1170,8 +1182,8 @@ class TestWindowCache:
         records, classified = storm_conversation(1, lexicon, emoji_lexicon, config, 300)
         tags = list(range(len(records)))
         monkeypatch.setattr(harness, "Engine", _BoardAuditEngine)
-        logged = _simulate_conversation(records, tags, classified, config, True, True)
-        unlogged = _simulate_conversation(records, tags, classified, config, True, False)
+        logged, _ = _simulate_conversation(records, tags, classified, config, True, True)
+        unlogged, _ = _simulate_conversation(records, tags, classified, config, True, False)
         assert logged.decisions == unlogged.decisions
         kinds = {kind for _, kind in logged.decisions}
         assert {"held", "suspended"} <= kinds
