@@ -229,7 +229,7 @@ def compare_policies_corpus(
     graphs: Sequence[ConversationGraph],
     provider,
     *,
-    weights: InfluenceWeights = InfluenceWeights(),
+    weights: InfluenceWeights = congraph.DEFAULT_WEIGHTS,
     influence_percentile: float = DEFAULT_INFLUENCE_PERCENTILE,
     toxicity_floor: float = DEFAULT_TOXICITY_FLOOR,
     text_only_floor: float = DEFAULT_TEXT_ONLY_FLOOR,
@@ -253,15 +253,15 @@ def compare_policies_corpus(
         toxicity = {
             node_id: provider.score(graph.comment(node_id).text) for node_id in graph.ids()
         }
-        influences = np.array(
-            [congraph.node_influence(graph, i, weights) for i in graph.ids()]
-        )
-        influence_floor = float(np.percentile(influences, influence_percentile))
+        # one influence per row serves the percentile and both policies, and
+        # neither policy reads its pruned graph, so none is rebuilt
+        influence = congraph._row_influences(graph, weights, 0)
+        influence_floor = float(np.percentile(influence, influence_percentile))
         res_a = congraph.prune_influential_toxic(
-            graph, toxicity, influence_floor, toxicity_floor, weights
+            graph, toxicity, influence_floor, toxicity_floor, weights, influence=influence
         )
         res_b = congraph.prune_influential_toxic(
-            graph, toxicity, 0.0, text_only_floor, weights
+            graph, toxicity, 0.0, text_only_floor, weights, influence=influence
         )
         total_nodes += len(graph)
         det["a"] += len(res_a.selected_ids)

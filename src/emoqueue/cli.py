@@ -12,6 +12,7 @@ failure, 4 config error, 5 run mismatch, 6 provider failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,7 +42,9 @@ EXIT_MISMATCH = 5
 EXIT_PROVIDER = 6
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call (parsing leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="emoqueue",
         description="Emotion-aware comment queuing over conversation streams",

@@ -23,6 +23,17 @@ writes one weight per step, and a Python float costs less there than a
 numpy scalar. Readers that need an array build one from the window slice.
 The public :func:`pagerank` operation runs the equivalent power iteration
 and is cross-checked against the cache in the test suite.
+
+Two of the four influence terms never change once a comment is admitted:
+its intensity times the intensity weight, and the depth weight over
+``1 + depth``. The graph is built with the :class:`InfluenceWeights` of its
+reader (the engine passes its own) and stores both terms per row, next to
+the intensity and depth, so that a window's influence costs only the
+PageRank and reply terms. A reader with other weights computes the two
+terms from the same helper, ``_row_terms``. ``_influence`` adds the terms
+in the order it always did, from the same rounded operands, so every
+window, hypothetical and candidate mass is bit-identical to computing the
+terms afresh.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import neg
 from typing import Iterable, Mapping
 
@@ -82,6 +94,9 @@ class InfluenceWeights:
             raise ValueError(f"influence weights must sum to 1, got {sum(parts)}")
 
 
+DEFAULT_WEIGHTS = InfluenceWeights()
+
+
 @dataclass(frozen=True)
 class EmotionBoard:
     """Percentage distribution of windowed emotion mass (sums to 100 or all zero)."""
@@ -111,10 +126,18 @@ class PageRankResult:
 class ConversationGraph:
     """Mutable single-root reply tree with cached per-node metrics."""
 
-    def __init__(self, root: ClassifiedComment, *, damping: float = DEFAULT_DAMPING):
+    def __init__(
+        self,
+        root: ClassifiedComment,
+        *,
+        damping: float = DEFAULT_DAMPING,
+        weights: InfluenceWeights = DEFAULT_WEIGHTS,
+    ):
         if not 0.0 < damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
         self._damping = damping
+        # the mixing weights of the row terms stored at admission (_row_terms)
+        self._weights = weights
         # damping**k for k = 1, 2, ... down to _MIN_ANCESTOR_DELTA
         powers = []
         delta = damping
@@ -131,6 +154,8 @@ class ConversationGraph:
         self._replies: list[int] = []
         self._intensity = np.zeros(self._capacity)
         self._depth = np.zeros(self._capacity)
+        self._int_term = np.zeros(self._capacity)
+        self._depth_term = np.zeros(self._capacity)
         self._weight: list[float] = []
         self._log_replies = np.zeros(self._capacity)
         self._vectors = np.zeros((self._capacity, 8))
@@ -188,7 +213,7 @@ class ConversationGraph:
 
     def _grow(self) -> None:
         new_cap = self._capacity * 2
-        for name in ("_intensity", "_depth", "_log_replies"):
+        for name in ("_intensity", "_depth", "_int_term", "_depth_term", "_log_replies"):
             old = getattr(self, name)
             fresh = np.zeros(new_cap)
             fresh[: self._n] = old[: self._n]
@@ -210,7 +235,11 @@ class ConversationGraph:
         self._parent.append(parent_idx)
         self._replies.append(0)
         self._intensity[idx] = comment.intensity
-        self._depth[idx] = 0.0 if parent_idx < 0 else self._depth[parent_idx] + 1.0
+        depth = 0.0 if parent_idx < 0 else self._depth.item(parent_idx) + 1.0
+        self._depth[idx] = depth
+        self._int_term[idx], self._depth_term[idx] = _row_terms(
+            self._weights, comment.intensity, depth
+        )
         self._weight.append(1.0)
         self._log_replies[idx] = 0.0
         self._vectors[idx] = comment.vector
@@ -255,15 +284,31 @@ class ConversationGraph:
         return w / w.sum()
 
 
+def _row_terms(weights: InfluenceWeights, intensity, depth):
+    """The two influence terms that admission fixes, for one row or for arrays
+    of rows: mixed intensity and root proximity. The graph stores them per row
+    for its own weights; every other reader computes them here, so that both
+    round alike."""
+    return weights.intensity * intensity, weights.depth / (1.0 + depth)
+
+
+def _static_terms(graph: ConversationGraph, weights: InfluenceWeights, rows):
+    """``_row_terms`` of ``rows`` (an index or a slice): read from the graph
+    when ``weights`` are its own, computed otherwise."""
+    if weights is graph._weights or weights == graph._weights:
+        return graph._int_term[rows], graph._depth_term[rows]
+    return _row_terms(weights, graph._intensity[rows], graph._depth[rows])
+
+
 def _influence(
-    weights: InfluenceWeights, intensity, weight, depth, log_replies, max_weight, max_replies
+    weights: InfluenceWeights, int_term, weight, depth_term, log_replies, max_weight, max_replies
 ):
-    """Influence of one row, or of a window's rows as arrays: intensity, PageRank
-    weight over the maximum, root proximity and log reply count over the maximum
-    (0 while nothing has replies), summed in this order so every caller rounds alike."""
-    infl = weights.intensity * intensity
-    infl += weight * (weights.pagerank / max_weight)
-    infl += weights.depth / (1.0 + depth)
+    """Influence of one row, or of a window's rows as arrays, from its
+    ``_row_terms``: intensity, PageRank weight over the maximum, root
+    proximity and log reply count over the maximum (0 while nothing has
+    replies), summed in this order so every caller rounds alike."""
+    infl = int_term + weight * (weights.pagerank / max_weight)
+    infl += depth_term
     if max_replies > 0:
         infl += log_replies * (weights.replies / math.log2(1.0 + max_replies))
     return infl
@@ -273,8 +318,8 @@ def _candidate_influence(graph, weights, intensity, parent_idx, max_weight):
     """Influence of a candidate child of ``parent_idx``, a new leaf: weight 1,
     one below its parent, no replies (so no reply term, whatever the maximum
     reply count). Arrays of candidates give an array."""
-    depth = graph._depth[parent_idx] + 1.0
-    return _influence(weights, intensity, 1.0, depth, 0.0, max_weight, 0)
+    int_term, depth_term = _row_terms(weights, intensity, graph._depth[parent_idx] + 1.0)
+    return _influence(weights, int_term, 1.0, depth_term, 0.0, max_weight, 0)
 
 
 def _ancestor_chain(graph: ConversationGraph, parent_idx: int) -> tuple[int, ...]:
@@ -428,7 +473,7 @@ def pagerank(
 def node_influence(
     graph: ConversationGraph,
     node_id: str,
-    weights: InfluenceWeights = InfluenceWeights(),
+    weights: InfluenceWeights = DEFAULT_WEIGHTS,
 ) -> float:
     """Influence of one node in [0, 1]: weighted mix of intensity, PageRank
     share (normalized by the maximum share), root proximity, and log reply
@@ -436,15 +481,31 @@ def node_influence(
     idx = graph._index.get(node_id)
     if idx is None:
         raise UnknownNodeError(node_id)
-    return float(_influence(weights, graph._intensity[idx], graph._weight[idx],
-                            graph._depth[idx], graph._log_replies[idx],
-                            graph._max_weight, graph._max_replies))
+    int_term, depth_term = _static_terms(graph, weights, idx)
+    return float(_influence(weights, int_term, graph._weight[idx], depth_term,
+                            graph._log_replies[idx], graph._max_weight, graph._max_replies))
 
 
 def _window_weights(graph: ConversationGraph, start: int) -> np.ndarray:
     """PageRank weights of rows ``[start, n)`` as an array (``fromiter`` with
     a count skips the type scan that ``np.array`` makes over the list)."""
     return np.fromiter(graph._weight[start:], float, graph._n - start)
+
+
+def _row_influences(
+    graph: ConversationGraph,
+    weights: InfluenceWeights,
+    start: int,
+    weight_arr: np.ndarray | None = None,
+) -> np.ndarray:
+    """Influence of rows ``[start, n)``; ``weight_arr`` may pass in their
+    PageRank weights (``_window_weights`` from ``start``)."""
+    sl = slice(start, graph._n)
+    if weight_arr is None:
+        weight_arr = _window_weights(graph, start)
+    int_term, depth_term = _static_terms(graph, weights, sl)
+    return _influence(weights, int_term, weight_arr, depth_term, graph._log_replies[sl],
+                      graph._max_weight, graph._max_replies)
 
 
 def _window_mass_totals(
@@ -457,12 +518,7 @@ def _window_mass_totals(
     PageRank weights (``_window_weights`` from its first row)."""
     n = graph._n
     start = max(0, n - window_size)
-    sl = slice(start, n)
-    if weight_arr is None:
-        weight_arr = _window_weights(graph, start)
-    infl = _influence(weights, graph._intensity[sl], weight_arr, graph._depth[sl],
-                      graph._log_replies[sl], graph._max_weight, graph._max_replies)
-    mass = infl @ graph._vectors[sl]
+    mass = _row_influences(graph, weights, start, weight_arr) @ graph._vectors[start:n]
     return mass, float(mass.sum())
 
 
@@ -487,7 +543,7 @@ def _masses_to_board(
 def board(
     graph: ConversationGraph,
     window_size: int = DEFAULT_WINDOW,
-    weights: InfluenceWeights = InfluenceWeights(),
+    weights: InfluenceWeights = DEFAULT_WEIGHTS,
 ) -> EmotionBoard:
     """Emotion board over the ``window_size`` most recently admitted nodes."""
     check_window_size(window_size)
@@ -528,8 +584,9 @@ def _hypothetical_mass_totals(
     if parent_idx >= start:
         log_replies_arr = log_replies_arr.copy()
         log_replies_arr[parent_idx - start] = math.log2(1.0 + parent_replies)
-    infl = _influence(weights, graph._intensity[sl], weight_arr, graph._depth[sl],
-                      log_replies_arr, max_weight, max_replies)
+    int_term, depth_term = _static_terms(graph, weights, sl)
+    infl = _influence(weights, int_term, weight_arr, depth_term, log_replies_arr, max_weight,
+                      max_replies)
     mass = infl @ graph._vectors[sl]
     cand_infl = _candidate_influence(graph, weights, candidate.intensity, parent_idx, max_weight)
     mass = mass + cand_infl * np.asarray(candidate.vector)
@@ -537,19 +594,18 @@ def _hypothetical_mass_totals(
 
 
 def _window_term_sums(
-    graph: ConversationGraph, start: int, weight_arr: np.ndarray
+    graph: ConversationGraph, weights: InfluenceWeights, start: int, weight_arr: np.ndarray
 ) -> np.ndarray:
     """Emotion sums of the four influence terms over rows ``[start, n)``, whose
     PageRank weights are ``weight_arr``.
 
-    Rows of the (4, 8) result: intensity, PageRank weight, ``1 / (1 + depth)``
-    and log reply count, each times the row's vector, before the mixing
-    weights and the maxima scale them.
+    Rows of the (4, 8) result: the two ``_row_terms``, PageRank weight and
+    log reply count, each times the row's vector; the last two before their
+    mixing weights and the maxima scale them.
     """
     sl = slice(start, graph._n)
-    terms = np.array(
-        (graph._intensity[sl], weight_arr, 1.0 / (1.0 + graph._depth[sl]), graph._log_replies[sl])
-    )
+    int_term, depth_term = _static_terms(graph, weights, sl)
+    terms = np.array((int_term, weight_arr, depth_term, graph._log_replies[sl]))
     return terms @ graph._vectors[sl]
 
 
@@ -576,12 +632,31 @@ def hypothetical_board(
 
 @dataclass(frozen=True)
 class PruneResult:
-    graph: ConversationGraph
     selected_ids: tuple[str, ...]
     removed_count: int
     removed_toxic_mass: float
     toxicity_reduction: float
     root_skipped: bool
+    # the source graph, its size when pruned and the removed rows
+    _source: ConversationGraph = field(repr=False, compare=False)
+    _size: int = field(repr=False, compare=False)
+    _removed: set[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def graph(self) -> ConversationGraph:
+        """The graph without the removed nodes, rebuilt when first read from
+        the source's first ``_size`` rows (rows never change once admitted)."""
+        source = self._source
+        pruned = ConversationGraph(
+            source._comments[0], damping=source._damping, weights=source._weights
+        )
+        for idx in range(1, self._size):
+            if idx in self._removed:
+                continue
+            parent_idx = source._parent[idx]
+            pruned.add(source._comments[idx], parent_id=source._ids[parent_idx])
+        pruned.orphan_count = source.orphan_count
+        return pruned
 
 
 def prune_influential_toxic(
@@ -589,18 +664,23 @@ def prune_influential_toxic(
     toxicity: Mapping[str, float],
     influence_floor: float,
     toxicity_floor: float,
-    weights: InfluenceWeights = InfluenceWeights(),
+    weights: InfluenceWeights = DEFAULT_WEIGHTS,
+    *,
+    influence: np.ndarray | None = None,
 ) -> PruneResult:
     """Deactivate nodes meeting both floors, together with their reply subtrees.
 
-    Returns a rebuilt graph without the removed nodes, the count of removed
-    nodes, and the removed toxic mass; the estimated toxicity reduction is
-    removed mass over total mass. The root is never pruned (a matching root
-    is skipped with a warning).
+    Returns the graph without the removed nodes (rebuilt when first read),
+    the count of removed nodes, and the removed toxic mass; the estimated
+    toxicity reduction is removed mass over total mass. The root is never
+    pruned (a matching root is skipped with a warning). A caller that has
+    every row's influence under ``weights`` may pass it as ``influence``.
     """
     for node_id, score in toxicity.items():
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"toxicity score for {node_id!r} outside [0, 1]")
+    if influence is None:
+        influence = _row_influences(graph, weights, 0)
     n = len(graph)
     selected: list[int] = []
     root_skipped = False
@@ -608,7 +688,7 @@ def prune_influential_toxic(
         tox = toxicity.get(node_id, 0.0)
         if tox < toxicity_floor:
             continue
-        if node_influence(graph, node_id, weights) < influence_floor:
+        if influence[idx] < influence_floor:
             continue
         if idx == 0:
             root_skipped = True
@@ -631,20 +711,13 @@ def prune_influential_toxic(
     removed_mass = sum(toxicity.get(graph._ids[i], 0.0) for i in removed)
     total_mass = sum(toxicity.get(node_id, 0.0) for node_id in graph._ids)
     reduction = removed_mass / total_mass if total_mass > 0 else 0.0
-
-    pruned = ConversationGraph(graph._comments[0], damping=graph._damping)
-    for idx in range(1, n):
-        if idx in removed:
-            continue
-        parent_idx = graph._parent[idx]
-        pruned.add(graph._comments[idx], parent_id=graph._ids[parent_idx])
-    pruned.orphan_count = graph.orphan_count
     return PruneResult(
-        graph=pruned,
         selected_ids=tuple(graph._ids[i] for i in selected),
         removed_count=len(removed),
         removed_toxic_mass=removed_mass,
         toxicity_reduction=reduction,
         root_skipped=root_skipped,
+        _source=graph,
+        _size=n,
+        _removed=removed,
     )
-

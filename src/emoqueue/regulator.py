@@ -48,12 +48,20 @@ Between two admissions the window does not change, so the engine builds
 what it reads from the window once per graph state and drops it on the next
 admission: the window's PageRank weights (which the exact test and the
 screen slice), the current masses, the board, the percentages rounded to 6
-decimals for the decision log, and the sums the re-test screen patches.
-The decision log is a list of ``DecisionRow``: one decision's
-``board_after`` is that state's rounded tuple, the same object as the next
-decision's ``board_before``, and ``thresholds`` is the memoised effective
-tuple. Rows are rendered to text only when the log is written
-(``harness.decision_lines``).
+decimals for the decision log (a logging engine rounds them in the step
+that builds the masses, since it logs every graph state), and the sums the
+re-test screen patches. What an admission fixes is not rebuilt at all: the
+graph stores each row's intensity and root-proximity terms, already scaled
+by the engine's influence weights, and every window product reads them
+(``congraph`` says why the masses stay bit-identical). The effective
+thresholds depend only on ``min(processed, decay_scale)`` and the activity
+regime, so every engine of one ``ThresholdConfig`` reads them from one
+table that the config holds, and the activity ring keeps its 19 gaps sorted
+as admissions come and go. The decision log is a list of ``DecisionRow``:
+one decision's ``board_after`` is that state's rounded tuple, the same
+object as the next decision's ``board_before``, and ``thresholds`` is the
+shared effective tuple. Rows are rendered to text only when the log is
+written (``harness.decision_lines``).
 
 The queue. A held entry whose parent is not published waits, parked under
 the parent's id, outside the order; it joins when the parent is admitted,
@@ -68,11 +76,13 @@ of them stay held. Influence is linear in its four terms and every summand
 is non-negative (vectors in [0, 1], mixing weights >= 0, PageRank weights
 >= 1, log reply counts >= 0). So per graph state the engine keeps the four
 per-emotion term sums over the hypothetical window ``[max(0, n+1-W), n)``,
-one (4 x rows) @ (rows x 8) product. Per entry it patches in the ancestors'
-``damping**k`` bumps inside the window, the parent's new log-reply term,
-the new maximum weight and reply count, and the candidate's own mass, as
-``congraph._admission_patch`` and ``congraph._candidate_influence`` state
-them for the exact test; only the summation order differs. ``requeue_scan``
+one (4 x rows) @ (rows x 8) product: the two stored row terms, which the
+exact test reads too, then the PageRank weight and the log reply count
+before their mixing weights and maxima scale them. Per entry it patches
+in the ancestors' ``damping**k`` bumps inside the window, the parent's new
+log-reply term, the new maximum weight and reply count, and the
+candidate's own mass, as ``congraph._admission_patch`` and
+``congraph._candidate_influence`` state them for the exact test; only the summation order differs. ``requeue_scan``
 and ``finalize`` reject an entry when, for some governed emotion, the mass
 exceeds ``(1 + tau) * max(eff_e / 100, c_e / T_cur)`` of the total, that
 is, fails both inequalities by the factor ``1 + tau``, with
@@ -163,6 +173,9 @@ _SCREEN_BATCH_MIN = 12
 _ZERO_VECTOR = (0.0,) * 8
 # a priority bucket's order: enqueue time, then id
 _TIME_ID = attrgetter("enqueue_time", "comment.id")
+# a config's threshold table is emptied when it holds this many keys, which
+# only a decay_scale above 2047 can reach
+_THRESHOLD_TABLE_MAX = 4096
 
 
 class RegulatorError(Exception):
@@ -229,12 +242,14 @@ class ThresholdConfig:
                     f"{e.value}: need 0 < floor <= base <= ceiling <= 100, got "
                     f"{floor}/{base}/{ceiling}"
                 )
+        # Engine._effective_tuple's table, shared by every engine of this
+        # config; not a field, so neither equality nor the config hash sees it
+        object.__setattr__(self, "_effective", {})
 
 
 class QueueStatus(Enum):
     HELD = "held"
     RELEASED = "released"
-    REVISED = "revised"
     SUSPENDED = "suspended"
 
 
@@ -531,11 +546,10 @@ class Engine:
 
         self.graph: ConversationGraph | None = None
         self.activity_cutoff = activity_cutoff
+        # the last ACTIVITY_RING admission times, and the gaps between them sorted
         self._act_times: list[float] = []
+        self._act_gaps: list[float] = []
         self._act_active = False
-        self._base_t = tuple(self.thresholds.base[e] for e in GOVERNED_EMOTIONS)
-        self._floor_t = tuple(self.thresholds.floor[e] for e in GOVERNED_EMOTIONS)
-        self._ceiling_t = tuple(self.thresholds.ceiling[e] for e in GOVERNED_EMOTIONS)
         self.processed_count = 0
         self.ever_held_count = 0
         self.orphan_count = 0
@@ -557,7 +571,6 @@ class Engine:
         self.decision_log: list[DecisionRow] = []
         self._last_now = float("-inf")
         self._state: _WindowState | None = None  # the window now; _admit drops it
-        self._eff_memo: tuple = (None, ())  # ((processed, active), thresholds)
         self._current_tag = 0
 
     # -- state accessors ----------------------------------------------------
@@ -565,25 +578,34 @@ class Engine:
     def _push_admission_time(self, now: float) -> None:
         # the regime counts once the ring is full; its 19 gaps have one median
         times = self._act_times
+        if times:
+            gaps = self._act_gaps
+            if len(times) == ACTIVITY_RING:
+                del gaps[bisect_left(gaps, times[1] - times[0])]
+                del times[0]
+            insort(gaps, now - times[-1])
+            if len(gaps) == ACTIVITY_RING - 1:
+                self._act_active = gaps[len(gaps) // 2] < self.activity_cutoff
         times.append(now)
-        if len(times) > ACTIVITY_RING:
-            del times[0]
-        if len(times) == ACTIVITY_RING:
-            gaps = sorted([b - a for a, b in zip(times, times[1:])])
-            self._act_active = gaps[len(gaps) // 2] < self.activity_cutoff
 
     def _effective_tuple(self, processed: int) -> tuple[float, ...]:
-        key = (processed, self._act_active)
-        if self._eff_memo[0] == key:
-            return self._eff_memo[1]
+        """The effective thresholds after ``processed`` submissions, in
+        ``GOVERNED_EMOTIONS`` order. The decay stops changing at
+        ``decay_scale``, so the config keeps one table for all its engines,
+        keyed on ``(min(processed, decay_scale), regime)``."""
         cfg = self.thresholds
-        adjust = cfg.active_relax if self._act_active else -cfg.quiet_tighten
-        decay = cfg.decay_gamma * min(1.0, processed / cfg.decay_scale)
-        eff = tuple(
-            min(ceiling, max(floor, base + adjust - decay))
-            for base, floor, ceiling in zip(self._base_t, self._floor_t, self._ceiling_t)
-        )
-        self._eff_memo = (key, eff)
+        key = (min(processed, cfg.decay_scale), self._act_active)
+        table = cfg._effective
+        eff = table.get(key)
+        if eff is None:
+            if len(table) >= _THRESHOLD_TABLE_MAX:
+                table.clear()
+            adjust = cfg.active_relax if key[1] else -cfg.quiet_tighten
+            decay = cfg.decay_gamma * min(1.0, key[0] / cfg.decay_scale)
+            eff = table[key] = tuple(
+                min(cfg.ceiling[e], max(cfg.floor[e], cfg.base[e] + adjust - decay))
+                for e in GOVERNED_EMOTIONS
+            )
         return eff
 
     @property
@@ -604,10 +626,14 @@ class Engine:
             graph = self.graph
             assert graph is not None
             weights = congraph._window_weights(graph, max(0, len(graph) - self.window_size))
-            state = self._state = _WindowState(
-                weights,
-                *congraph._window_mass_totals(graph, self.window_size, self.weights, weights),
+            mass, total = congraph._window_mass_totals(
+                graph, self.window_size, self.weights, weights
             )
+            state = self._state = _WindowState(weights, mass, total)
+            if self.log_decisions:
+                # every graph state a logging engine reaches is logged
+                pct = congraph._percentages(mass, total)
+                state.logged = tuple([round(v, 6) for v in pct])
         return state
 
     def _hypothetical_weights(self, state: _WindowState) -> np.ndarray:
@@ -636,14 +662,11 @@ class Engine:
         return state.board
 
     def _logged_board(self) -> tuple[float, ...]:
-        """Board percentages as the decision log writes them (6 decimals)."""
+        """Board percentages as the decision log writes them (6 decimals),
+        which ``_window`` rounds when it builds the state of a logging engine."""
         if self.graph is None:
             return _ZERO_VECTOR
-        state = self._window()
-        if state.logged is None:
-            pct = congraph._percentages(state.mass, state.total)
-            state.logged = tuple([round(v, 6) for v in pct])
-        return state.logged
+        return self._window().logged
 
     def conservation_holds(self) -> bool:
         """processed == admitted + currently held + suspended."""
@@ -698,11 +721,12 @@ class Engine:
             assert graph is not None
             n = len(graph)
             start = max(0, n + 1 - self.window_size)
-            sums = congraph._window_term_sums(graph, start, self._hypothetical_weights(state))
-            w = self.weights
+            sums = congraph._window_term_sums(
+                graph, self.weights, start, self._hypothetical_weights(state)
+            )
             state.screen = (
                 start,
-                (w.intensity * sums[0] + w.depth * sums[2]).tolist(),
+                (sums[0] + sums[2]).tolist(),
                 sums[1].tolist(),
                 sums[3].tolist(),
                 1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53,
@@ -809,7 +833,7 @@ class Engine:
         kind: str,
     ) -> None:
         if self.graph is None:
-            self.graph = ConversationGraph(comment, damping=self.damping)
+            self.graph = ConversationGraph(comment, damping=self.damping, weights=self.weights)
         else:
             self.graph.add(comment, parent_id=parent_id)
         self._state = None
@@ -895,6 +919,8 @@ class Engine:
         """Decide one submission; admissions trigger a queue re-evaluation pass."""
         if now < self._last_now:
             raise ClockError(f"event time {now} precedes {self._last_now}")
+        if not math.isfinite(now):
+            raise ClockError(f"event time {now} is not finite")
         self._last_now = now
         self._current_tag = tag if tag is not None else self._current_tag + 1
         target = comment.parent_id if parent_id is ... else parent_id
@@ -1033,7 +1059,6 @@ class Engine:
         # the revised intensities
         self._screen = screen = _HeldScreen()
         for entry in order:
-            entry.status = QueueStatus.REVISED
             entry.revised = True
             if entry.comment.dominant is not None:
                 entry.comment = replace(

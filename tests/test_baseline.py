@@ -14,7 +14,7 @@ from emoqueue.baseline import (
     check_policy_settings,
     compare_policies_corpus,
 )
-from emoqueue.congraph import build_graph
+from emoqueue.congraph import ConversationGraph, build_graph
 from emoqueue.emolex import EmotionKind
 
 from helpers import make_comment
@@ -284,6 +284,25 @@ class TestComparePolicies:
         assert a.detected_count <= b.detected_count
         assert b.detected_count == 3  # the three toxic texts
         assert 0.0 < b.toxicity_reduction <= 1.0
+
+    def test_builds_no_pruned_graph(self, lexicon, monkeypatch):
+        # the comparison reads selections and masses only; the pruned graphs
+        # the public prune call can return are never rebuilt
+        graph = self.build_toxic_graph()
+        built = []
+        original = ConversationGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConversationGraph, "__init__", counted)
+        result = compare_policies_corpus(
+            [graph], OfflineToxicityProxy(lexicon), influence_percentile=0.0,
+            toxicity_floor=0.2, text_only_floor=0.2,
+        )
+        assert result.influence_and_toxicity.removed_count == 3
+        assert built == []
 
     def test_influence_gated_policy_targets_engaged_subtrees(self, lexicon):
         graph = self.build_toxic_graph()

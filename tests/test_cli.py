@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from emoqueue.cli import main
+from emoqueue.cli import _build_parser, main
 from emoqueue.harness import (
     SyntheticSpec,
     compare,
@@ -264,3 +265,41 @@ class TestPruneEval:
         a_red = float(out.split("influence_and_toxicity:")[1].split("reduction=")[1].split()[0])
         b_red = float(out.split("toxicity_only:")[1].split("reduction=")[1].split()[0])
         assert a_red >= b_red
+
+
+def test_parser_built_once():
+    assert _build_parser() is _build_parser()
+
+
+class TestLongStreamPins:
+    """SHA-256 pins on conversations longer than the default 100-row window,
+    so that eviction and the full-window paths are pinned too. A change to
+    any output file or to prune-eval's report updates these on purpose."""
+
+    SPEC = SyntheticSpec(conversations=2, comments_per_conversation=250, troll_rate=0.3)
+    RUN_DIR_DIGESTS = {
+        "off": "1087af27bbf2dc9472fbf771f86a9da3f10054130a49a151963632696b2c61b3",
+        "on": "7facd6881f8749a4a99e6b654ac62747d3fc31387e8a5f24fbfae86a75055125",
+    }
+    PRUNE_EVAL_DIGEST = "5eb7a11d4e491b493bd51db58f85a8aa3fa1bd85e63eb848a2226071b69a0770"
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        write_jsonl(generate_synthetic(self.SPEC, 3), path)
+        return path
+
+    @pytest.mark.parametrize("queue", ["off", "on"])
+    def test_run_dir_digest(self, stream, tmp_path, capsys, queue):
+        out = tmp_path / "runs"
+        assert run_cli("simulate", stream, "--queue", queue, "--out", out) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == self.RUN_DIR_DIGESTS[queue]
+
+    def test_prune_eval_digest(self, stream, capsys):
+        assert run_cli("prune-eval", stream) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.PRUNE_EVAL_DIGEST

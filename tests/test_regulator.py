@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from emoqueue.harness import (
 from emoqueue.harness import _simulate_conversation  # tested via its public callers too
 from emoqueue.ingest import partition_conversations
 from emoqueue.regulator import (
+    ACTIVITY_RING,
     AdmissionDecision,
     ClockError,
     GOVERNED_EMOTIONS,
@@ -31,6 +33,8 @@ from emoqueue.regulator import (
     ThresholdConfig,
     UnknownParentError,
     _HeldScreen,
+    _THRESHOLD_TABLE_MAX,
+    _may_hold,
 )
 from emoqueue.emolex import classify_comment
 
@@ -1189,3 +1193,249 @@ class TestWindowCache:
         assert {"held", "suspended"} <= kinds
         if window > 1:
             assert "released" in kinds
+
+
+def scratch_influence(w, intensity, weight, depth, log_replies, max_weight, max_replies):
+    """The influence formula computed from intensity and depth in the order
+    the graph's stored row terms must reproduce."""
+    infl = w.intensity * intensity
+    infl += weight * (w.pagerank / max_weight)
+    infl += w.depth / (1.0 + depth)
+    if max_replies > 0:
+        infl += log_replies * (w.replies / math.log2(1.0 + max_replies))
+    return infl
+
+
+def scratch_window_mass(graph, window, w) -> np.ndarray:
+    n = len(graph)
+    start = max(0, n - window)
+    sl = slice(start, n)
+    infl = scratch_influence(
+        w, graph._intensity[sl], np.array(graph._weight[start:]), graph._depth[sl],
+        graph._log_replies[sl], graph._max_weight, graph._max_replies,
+    )
+    return infl @ graph._vectors[sl]
+
+
+def scratch_candidate_influence(graph, w, candidate, parent_idx, max_weight):
+    depth = graph._depth[parent_idx] + 1.0
+    return scratch_influence(w, candidate.intensity, 1.0, depth, 0.0, max_weight, 0)
+
+
+def scratch_hypothetical_mass(graph, window, w, candidate, parent_id) -> np.ndarray:
+    parent_idx = graph._index[parent_id]
+    n = len(graph)
+    start = max(0, n + 1 - window)
+    sl = slice(start, n)
+    bumps, max_weight, parent_replies, max_replies = congraph._admission_patch(
+        graph, parent_idx, start
+    )
+    weight = np.array(graph._weight[start:])
+    for idx, delta in zip(bumps, graph._powers):
+        weight[idx - start] = graph._weight[idx] + delta
+    log_replies = graph._log_replies[sl].copy()
+    if parent_idx >= start:
+        log_replies[parent_idx - start] = math.log2(1.0 + parent_replies)
+    infl = scratch_influence(
+        w, graph._intensity[sl], weight, graph._depth[sl], log_replies, max_weight, max_replies
+    )
+    cand = scratch_candidate_influence(graph, w, candidate, parent_idx, max_weight)
+    return infl @ graph._vectors[sl] + cand * np.asarray(candidate.vector)
+
+
+class _ScratchAuditEngine(Engine):
+    """Checks every current and hypothetical mass the engine reads against
+    the scratch formula, byte for byte."""
+
+    hypotheticals = 0
+
+    def _passes(self, comment, parent_id, processed):
+        if _may_hold(comment):
+            graph = self.graph
+            state = self._window()
+            mass, _ = congraph._hypothetical_mass_totals(
+                graph, self.window_size, self.weights, comment, parent_id,
+                self._hypothetical_weights(state), self._ancestry(graph._index[parent_id]).chain,
+            )
+            expected = scratch_hypothetical_mass(
+                graph, self.window_size, self.weights, comment, parent_id
+            )
+            assert mass.tobytes() == expected.tobytes()
+            self.hypotheticals += 1
+        return super()._passes(comment, parent_id, processed)
+
+    def _admit(self, comment, parent_id, now, kind):
+        super()._admit(comment, parent_id, now, kind)
+        mass, _ = self._current_masses()
+        expected = scratch_window_mass(self.graph, self.window_size, self.weights)
+        assert mass.tobytes() == expected.tobytes()
+
+
+class TestStoredRowTerms:
+    """Masses built from the row terms the graph stores at admission equal
+    the scratch formula from intensity and depth, byte for byte."""
+
+    @given(screened_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_window_hypothetical_and_candidate_masses(self, case):
+        tree, candidates, weights, window, _, _ = case
+        stored = congraph.ConversationGraph(tree[0], weights=weights)
+        computed = congraph.ConversationGraph(tree[0])  # other weights: terms computed
+        for comment in tree[1:]:
+            stored.add(comment)
+            computed.add(comment)
+        expected = scratch_window_mass(stored, window, weights).tobytes()
+        for graph in (stored, computed):
+            assert congraph._window_mass_totals(graph, window, weights)[0].tobytes() == expected
+        for candidate in candidates:
+            expected = scratch_hypothetical_mass(
+                stored, window, weights, candidate, candidate.parent_id
+            ).tobytes()
+            for graph in (stored, computed):
+                mass, _ = congraph._hypothetical_mass_totals(
+                    graph, window, weights, candidate, candidate.parent_id
+                )
+                assert mass.tobytes() == expected
+        candidate = candidates[0]
+        parent_idx = stored._index[candidate.parent_id]
+        _, max_weight, _, _ = congraph._admission_patch(stored, parent_idx, 0)
+        cand = congraph._candidate_influence(
+            stored, weights, candidate.intensity, parent_idx, max_weight
+        )
+        assert cand == scratch_candidate_influence(
+            stored, weights, candidate, parent_idx, max_weight
+        )
+        stored.add(candidate)
+        assert congraph.node_influence(stored, candidate.id, weights) == cand
+
+    @pytest.mark.parametrize("window", [1, 5, 100], ids=["window1", "window5", "partly-filled"])
+    def test_root_only_and_partly_filled_windows(self, window):
+        # a root alone has no replies anywhere (max_replies == 0); a window
+        # wider than the graph reads every row
+        weights = InfluenceWeights(0.3, 0.3, 0.2, 0.2)
+        root = make_comment("r", None, 0.0, EmotionKind.ANGER, 0.7)
+        graph = congraph.ConversationGraph(root, weights=weights)
+        assert graph._max_replies == 0
+        for i in range(4):
+            mass, _ = congraph._window_mass_totals(graph, window, weights)
+            assert mass.tobytes() == scratch_window_mass(graph, window, weights).tobytes()
+            candidate = make_comment(f"c{i}", "r", i + 1.0, EmotionKind.FEAR, 0.4)
+            mass, _ = congraph._hypothetical_mass_totals(graph, window, weights, candidate, "r")
+            expected = scratch_hypothetical_mass(graph, window, weights, candidate, "r")
+            assert mass.tobytes() == expected.tobytes()
+            graph.add(candidate)
+
+    @pytest.mark.parametrize(
+        "seed, weights", [(2, InfluenceWeights()), (15, InfluenceWeights(0.3, 0.3, 0.2, 0.2))],
+        ids=["default", "mixed"],
+    )
+    def test_engine_masses_through_a_storm_and_its_finalize(
+        self, lexicon, emoji_lexicon, seed, weights
+    ):
+        # storms whose finalize releases revised entries
+        records, classified = storm_conversation(
+            seed, lexicon, emoji_lexicon, SimulationConfig()
+        )
+        eng = _ScratchAuditEngine(weights=weights)
+        replay(eng, records, classified)
+        revised = [
+            e for e in eng.entries.values() if e.revised and e.status is QueueStatus.RELEASED
+        ]
+        # a revised release is admitted with its halved intensity, and is
+        # among the last rows, inside the window the last audit read
+        assert revised and eng.hypotheticals > 0
+        for entry in revised:
+            idx = eng.graph._index[entry.comment.id]
+            assert eng.graph._intensity[idx] == entry.comment.intensity
+            assert idx >= len(eng.graph) - eng.window_size
+
+
+class TestSortedGapRing:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 59.0, 60.0, 61.0, 300.0]),
+                st.floats(min_value=0.0, max_value=500.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from([0.0, 1.0, 60.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_regime_matches_sorting_the_gaps(self, steps, cutoff):
+        eng = Engine(activity_cutoff=cutoff)
+        times: list[float] = []
+        active = False
+        now = 0.0
+        for step in steps:
+            now += step
+            times.append(now)
+            eng._push_admission_time(now)
+            ring = times[-ACTIVITY_RING:]
+            ordered = sorted(b - a for a, b in zip(ring, ring[1:]))
+            assert eng._act_gaps == ordered
+            if len(ring) == ACTIVITY_RING:  # before the ring fills, the regime stays quiet
+                active = ordered[len(ordered) // 2] < cutoff
+            assert eng._act_active == active
+
+    @pytest.mark.parametrize("now", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, now):
+        eng = Engine()
+        with pytest.raises(ClockError):
+            eng.submit(make_comment("r", None, 0.0), now=now)
+        assert eng.processed_count == 0
+
+
+def formula_thresholds(cfg: ThresholdConfig, processed: int, active: bool):
+    adjust = cfg.active_relax if active else -cfg.quiet_tighten
+    decay = cfg.decay_gamma * min(1.0, processed / cfg.decay_scale)
+    return tuple(
+        min(cfg.ceiling[e], max(cfg.floor[e], cfg.base[e] + adjust - decay))
+        for e in GOVERNED_EMOTIONS
+    )
+
+
+class TestThresholdTable:
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.0, max_value=20.0),
+        st.floats(min_value=0.0, max_value=20.0),
+        st.floats(min_value=0.0, max_value=20.0),
+        st.floats(min_value=30.0, max_value=90.0),
+        st.lists(st.integers(min_value=0, max_value=120), min_size=1, max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_the_formula(self, scale, gamma, relax, tighten, base, processed):
+        cfg = ThresholdConfig(
+            base={e: base for e in GOVERNED_EMOTIONS}, active_relax=relax,
+            quiet_tighten=tighten, decay_gamma=gamma, decay_scale=scale,
+        )
+        eng = Engine(thresholds=cfg)
+        for count in processed:  # below, at and above decay_scale
+            for active in (False, True):
+                eng._act_active = active
+                assert eng._effective_tuple(count) == formula_thresholds(cfg, count, active)
+        assert len(cfg._effective) <= 2 * (scale + 1)
+
+    def test_engines_share_one_table_per_config(self):
+        slow, fast = ThresholdConfig(decay_gamma=5.0), ThresholdConfig(decay_gamma=10.0)
+        engines = [Engine(thresholds=cfg) for cfg in (slow, fast, slow)]
+        for count in (0, 3, 500, 1000, 4000, 3):
+            for eng in engines:
+                assert eng._effective_tuple(count) == formula_thresholds(
+                    eng.thresholds, count, False
+                )
+        assert slow._effective is not fast._effective
+        assert engines[0]._effective_tuple(3) is engines[2]._effective_tuple(3)
+        assert engines[0]._effective_tuple(3) != engines[1]._effective_tuple(3)
+        # the config's equality and hash input ignore the table
+        assert slow == ThresholdConfig(decay_gamma=5.0)
+        assert "_effective" not in dataclasses.asdict(slow)
+
+    def test_table_stays_bounded(self):
+        cfg = ThresholdConfig(decay_scale=10**9)
+        eng = Engine(thresholds=cfg)
+        for count in range(0, 3 * _THRESHOLD_TABLE_MAX, 7):
+            assert eng._effective_tuple(count) == formula_thresholds(cfg, count, False)
+            assert len(cfg._effective) <= _THRESHOLD_TABLE_MAX
