@@ -47,13 +47,13 @@ every submission directly; nothing reads its thresholds or activity regime.
 Between two admissions the window does not change, so the engine builds
 what it reads from the window once per graph state and drops it on the next
 admission: the window's PageRank weights (which the exact test and the
-screen slice), the current masses, the board, the percentages rounded to 6
-decimals for the decision log (a logging engine rounds them in the step
-that builds the masses, since it logs every graph state), and the sums the
-re-test screen patches. What an admission fixes is not rebuilt at all: the
-graph stores each row's intensity and root-proximity terms, already scaled
-by the engine's influence weights, and every window product reads them
-(``congraph`` says why the masses stay bit-identical). The effective
+screen slice), the current masses, the board and the percentages rounded
+to 6 decimals for the decision log (a logging engine rounds them in the
+step that builds the masses, since it logs every graph state). What an
+admission fixes is not rebuilt at all: the graph stores each row's
+intensity and root-proximity terms, already scaled by the engine's
+influence weights, and every window product reads them (``congraph`` says
+why the masses stay bit-identical). The effective
 thresholds depend only on ``min(processed, decay_scale)`` and the activity
 regime, so every engine of one ``ThresholdConfig`` reads them from one
 table that the config holds, and the activity ring keeps its 19 gaps sorted
@@ -74,51 +74,45 @@ times an entry was screened or tested; a parked entry is neither.
 Re-test screen. Every admission re-tests the held entries, and nearly all
 of them stay held. Influence is linear in its four terms and every summand
 is non-negative (vectors in [0, 1], mixing weights >= 0, PageRank weights
->= 1, log reply counts >= 0). So per graph state the engine keeps the four
-per-emotion term sums over the hypothetical window ``[max(0, n+1-W), n)``,
-one (4 x rows) @ (rows x 8) product: the two stored row terms, which the
-exact test reads too, then the PageRank weight and the log reply count
-before their mixing weights and maxima scale them. Per entry it patches
-in the ancestors' ``damping**k`` bumps inside the window, the parent's new
+>= 1, log reply counts >= 0). So the screen reads the four per-emotion term
+sums over the hypothetical window ``[max(0, n+1-W), n)``, one
+(4 x rows) @ (rows x 8) product: the two stored row terms, which the exact
+test reads too, then the PageRank weight and the log reply count before
+their mixing weights and maxima scale them. Per entry it patches in the
+ancestors' ``damping**k`` bumps inside the window, the parent's new
 log-reply term, the new maximum weight and reply count, and the
-candidate's own mass, as ``congraph._admission_patch`` and
-``congraph._candidate_influence`` state them for the exact test; only the summation order differs. ``requeue_scan``
-and ``finalize`` reject an entry when, for some governed emotion, the mass
-exceeds ``(1 + tau) * max(eff_e / 100, c_e / T_cur)`` of the total, that
-is, fails both inequalities by the factor ``1 + tau``, with
+candidate's own mass, as ``congraph._admission_patches`` and
+``congraph._candidate_influence`` state them for the exact test; only the
+summation order differs. ``requeue_scan`` and ``finalize`` reject an entry
+when, for some governed emotion, the mass exceeds
+``(1 + tau) * max(eff_e / 100, c_e / T_cur)`` of the total, that is, fails
+both inequalities by the factor ``1 + tau``, with
 ``tau = 8 * (rows + 16) * u`` and ``u = 2**-53``; any other entry gets the
 exact test, so every decision is the exact path's. ``submit`` is exact
 only, since most submitted comments pass.
 
-The screen comes in two forms that compute the same patches: scalars for
-a few entries, arrays for many. A published comment's ancestor chain
-(``congraph._ancestor_chain``) never changes, so the engine builds it once,
-when the exact test or the screen first meets a child of it (a chain has
-one row per ``damping**k`` above ``2**-53``, 226 at the default damping);
-per graph state only the weights along it, the maxima and the window start
-are read.
-``_screen_one`` screens one entry in scalars. ``_HeldScreen`` keeps one
-array row per held entry the exact test can fail, filed as entries join and
+A published comment's ancestor chain (``congraph._ancestor_chain``) never
+changes, so the engine builds it once, when the exact test or the screen
+first meets a child of it (a chain has one row per ``damping**k`` above
+``2**-53``, 226 at the default damping). ``_HeldScreen`` keeps one array
+row per held entry the exact test can fail, filed as entries join and
 dropped as they leave, and screens every row a pass has left in one
-held x 8 array expression, with ``congraph._admission_patches`` and
-``congraph._candidate_influence`` on arrays. In storm graph states on
-2 cores the expression costs about 65 us plus under 1 us per row and a
-scalar screen about 6 us, so they break even near 12 entries: after the first
-entry of a graph state, a pass screens the rest at once if
-``_SCREEN_BATCH_MIN`` or more are left, and one at a time otherwise. The
-first entry of each graph state is tested alone. At the start of a pass it
-is the least represented, the likeliest to pass and so to end the state;
-right after a release it sorts next to the entry just released, and in a
-storm's release cascades it usually passes too, so it skips the screen and
-goes to the exact test.
+held x 8 array expression; per graph state it reads only the weights
+along the chains, the maxima and the window start. The first entry of
+each graph state goes straight to the exact test. At the start of a pass
+it is the least represented, the likeliest to pass and so to end the
+state; right after a release it sorts next to the entry just released,
+and in a storm's release cascades it usually passes too. After it, a pass
+screens the rest of the state at once if ``_SCREEN_BATCH_MIN`` or more
+entries are left, and sends each to the exact test otherwise.
 
-The bound. Each mass or total either path compares is a sum of
-non-negative products of at most four rounded factors. Summing k
+The bound. Each mass or total the screen or the exact test compares is a
+sum of non-negative products of at most four rounded factors. Summing k
 non-negative terms in any order loses at most ``(k - 1) * u`` relative, so
-both paths land within ``gamma = (rows + 16) * u / (1 - (rows + 16) * u)``
+both land within ``gamma = (rows + 16) * u / (1 - (rows + 16) * u)``
 of the same real value; 16 covers the products' roundings, the patches and
 the eight-term total. The two sides of one inequality can thus differ
-between the paths by about ``4 * gamma``, plus five roundings in the
+between the two by about ``4 * gamma``, plus five roundings in the
 comparisons themselves, which ``tau`` exceeds. A screen rejection therefore
 implies an exact rejection, while an exact tie (hypothetical share equal to
 the current one) always falls inside the slack and goes to the exact test.
@@ -135,7 +129,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -168,7 +162,9 @@ DEFAULT_RHO = 0.5
 _SCREEN_ULPS = 8.0
 _SCREEN_MIN = 2.0**-900
 # after its first entry, a graph state screens the rest of the pass at once
-# if at least this many are left: the measured break-even (module docstring)
+# if at least this many are left, else sends them to the exact test; on 2
+# cores, values from 4 to 16 timed the same within noise on storm and
+# calibrated streams
 _SCREEN_BATCH_MIN = 12
 _ZERO_VECTOR = (0.0,) * 8
 # a priority bucket's order: enqueue time, then id
@@ -258,21 +254,6 @@ class AdmissionDecision(Enum):
     HELD = "held"
 
 
-class _Ancestry:
-    """What a child of one published comment would bump: the parent's
-    ``congraph._ancestor_chain``, which never changes once the parent is
-    published, and, once the scalar screen asks, ``sums``: at j,
-    ``damping**k`` times the ancestors' vectors, summed over the first j
-    ancestors (as far as the screen has needed). Tuples, so that the garbage
-    collector stops tracking them."""
-
-    __slots__ = ("chain", "sums")
-
-    def __init__(self, chain: tuple[int, ...]):
-        self.chain = chain
-        self.sums: tuple[tuple[float, ...], ...] | None = None
-
-
 @dataclass
 class QueueEntry:
     """A held comment; ``reeval_count`` counts the times it was screened or
@@ -305,10 +286,10 @@ class DecisionRow(NamedTuple):
 
 class _WindowState:
     """The window in one graph state, shared by every reader until the next
-    admission: the window's PageRank weights, masses, board, the board rounded
-    for the decision log, and the sums the re-test screen patches."""
+    admission: the window's PageRank weights, masses, board and the board
+    rounded for the decision log."""
 
-    __slots__ = ("weights", "mass", "total", "board", "logged", "screen", "inputs")
+    __slots__ = ("weights", "mass", "total", "board", "logged")
 
     def __init__(self, weights: np.ndarray, mass, total: float):
         self.weights = weights
@@ -316,10 +297,6 @@ class _WindowState:
         self.total = total
         self.board: EmotionBoard | None = None
         self.logged: tuple[float, ...] | None = None
-        # Engine._screen_inputs: (start, base, PageRank and reply sums, slack),
-        # and (thresholds, the screen's inputs) for the thresholds last read
-        self.screen: tuple | None = None
-        self.inputs: tuple | None = None
 
 
 def _may_hold(comment: ClassifiedComment) -> bool:
@@ -327,10 +304,6 @@ def _may_hold(comment: ClassifiedComment) -> bool:
     positive one."""
     dominant = comment.dominant
     return dominant is not None and dominant not in POSITIVE_EMOTIONS
-
-
-def _bucket_share(percentages, dominant: EmotionKind | None) -> float:
-    return 0.0 if dominant is None else percentages[EMOTION_INDEX[dominant]]
 
 
 class _HeldScreen:
@@ -448,9 +421,9 @@ class _HeldScreen:
         sums: tuple,
         positions: list[int],
     ) -> np.ndarray:
-        """The screen of the rows in ``positions`` in one graph state, True
-        only where ``Engine._passes`` is False: ``Engine._screen_one`` in
-        arrays."""
+        """The screen of the rows in ``positions`` in one graph state, whose
+        ``Engine._screen_inputs`` are ``sums``: True only where
+        ``Engine._passes`` is False."""
         start, base, sum_w, sum_r, limits, floor = sums
         idx = np.array(positions, np.intp)
         parent = self.parent[idx]
@@ -485,37 +458,34 @@ class _HeldScreen:
 
 class _PassScreen:
     """The screen of one pass over ``order``. The first entry of each graph
-    state is tested alone: at the start of the pass it gets the scalar
-    screen, after a release none. The rest of the state is screened at once
-    if ``_SCREEN_BATCH_MIN`` or more entries are left, one at a time
-    otherwise."""
+    state goes straight to the exact test. The rest of the state is screened
+    at once if ``_SCREEN_BATCH_MIN`` or more entries are left, and goes to
+    the exact test otherwise."""
 
     def __init__(self, engine: "Engine", order: list[QueueEntry]):
         self.engine = engine
         self.order = order
         self.mask: list[bool] | None = None
         self.first = True
-        self.released = False
 
     def rejects(self, entry: QueueEntry, i: int) -> bool:
         """True only where ``_passes`` is False, for ``order[i]``."""
-        engine = self.engine
         if self.first:
             self.first = False
-            return not self.released and engine._screen_one(entry)
+            return False
+        engine = self.engine
         if self.mask is None and len(self.order) - i >= _SCREEN_BATCH_MIN:
             self.mask = engine._screen_mask(self.order, i)
         if self.mask is not None:
             slot = engine._screen.slot.get(entry.comment.id)
             if slot is not None:
                 return self.mask[slot]
-        return engine._screen_one(entry)
+        return False
 
     def admitted(self) -> None:
         """An entry was released: the graph state changed."""
         self.mask = None
         self.first = True
-        self.released = True
 
 
 class Engine:
@@ -560,7 +530,7 @@ class Engine:
         self._buckets: dict[EmotionKind | None, list[QueueEntry]] = {}
         self._parked: dict[str, list[QueueEntry]] = {}
         self._screen = _HeldScreen()
-        self._ancestries: dict[int, _Ancestry] = {}
+        self._ancestries: dict[int, tuple[int, ...]] = {}
         self._suspended_ids: set[str] = set()
         # the admission ledger, one item per graph row (the graph holds each
         # row's comment id and vector): the tag of the submission during which
@@ -689,7 +659,7 @@ class Engine:
             comment,
             parent_id,
             self._hypothetical_weights(state),
-            self._ancestry(graph._index[parent_id]).chain,
+            self._ancestry(graph._index[parent_id]),
         )
         if hyp_total <= 0.0:
             return True
@@ -711,96 +681,38 @@ class Engine:
         return True
 
     def _screen_inputs(self, state: _WindowState) -> tuple:
-        """What the screen reads of one graph state and threshold tuple: the
-        hypothetical window's start and term sums; per governed emotion, the
-        share of the total a mass must pass to fail both inequalities by the
-        slack, ``slack * max(eff_e / 100, c_e / T_cur)``; and the floor
+        """What the screen reads of one graph state and the thresholds now:
+        the hypothetical window's start and term sums; per governed emotion,
+        the share of the total a mass must pass to fail both inequalities by
+        the slack, ``slack * max(eff_e / 100, c_e / T_cur)``; and the floor
         ``2**-900 / T_cur`` under which the screen fails nothing."""
-        if state.screen is None:
-            graph = self.graph
-            assert graph is not None
-            n = len(graph)
-            start = max(0, n + 1 - self.window_size)
-            sums = congraph._window_term_sums(
-                graph, self.weights, start, self._hypothetical_weights(state)
-            )
-            state.screen = (
-                start,
-                (sums[0] + sums[2]).tolist(),
-                sums[1].tolist(),
-                sums[3].tolist(),
-                1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53,
-            )
-        # the thresholds move with every submission, the window only with
-        # admissions
-        eff = self._effective_tuple(self.processed_count)
-        if state.inputs is None or state.inputs[0] is not eff:
-            slack = state.screen[4]
-            cur_total = state.total
-            cur_mass = state.mass.tolist()
-            limits = [
-                slack * max(e / 100.0, cur_mass[idx] / cur_total)
-                for e, (idx, _) in zip(eff, _GOVERNED_IDX)
-            ]
-            state.inputs = (eff, state.screen[:4] + (limits, _SCREEN_MIN / cur_total))
-        return state.inputs[1]
-
-    def _ancestry(self, parent_idx: int) -> _Ancestry:
-        """The ``_Ancestry`` of the published comment in row ``parent_idx``,
-        built on first use."""
-        ancestry = self._ancestries.get(parent_idx)
-        if ancestry is None:
-            assert self.graph is not None
-            ancestry = _Ancestry(congraph._ancestor_chain(self.graph, parent_idx))
-            self._ancestries[parent_idx] = ancestry
-        return ancestry
-
-    def _screen_one(self, entry: QueueEntry) -> bool:
-        """The screen of one held entry, True only where ``_passes`` is False:
-        ``_HeldScreen.rejects`` in scalars."""
-        state = self._window()
-        if state.total <= 0.0:
-            return False
-        start, base, sum_w, sum_r, limits, floor = self._screen_inputs(state)
         graph = self.graph
         assert graph is not None
-        parent_idx = graph._index[entry.parent_id]
-        ancestry = self._ancestry(parent_idx)
-        bumps, max_weight, parent_replies, max_replies = congraph._admission_patch(
-            graph, parent_idx, start, ancestry.chain
+        n = len(graph)
+        start = max(0, n + 1 - self.window_size)
+        sums = congraph._window_term_sums(
+            graph, self.weights, start, self._hypothetical_weights(state)
         )
-        comments = graph._comments
-        sums = ancestry.sums
-        if sums is None or len(sums) <= len(bumps):
-            # the window only moves on, so the first screen needs the most
-            running = _ZERO_VECTOR
-            sums = [running]
-            for idx, delta in zip(bumps, graph._powers):
-                running = tuple([r + delta * v for r, v in zip(running, comments[idx].vector)])
-                sums.append(running)
-            ancestry.sums = sums = tuple(sums)
-        patch_w = sums[len(bumps)]
-        patch_r = 0.0
-        if parent_idx >= start:
-            patch_r = math.log2(1.0 + parent_replies) - float(graph._log_replies[parent_idx])
-        w = self.weights
-        coef_w = w.pagerank / max_weight
-        coef_r = w.replies / math.log2(1.0 + max_replies)
-        comment = entry.comment
-        cand = float(
-            congraph._candidate_influence(graph, w, comment.intensity, parent_idx, max_weight)
-        )
-        hyp = [
-            b + coef_w * (sw + pw) + coef_r * (sr + patch_r * pv) + cand * cv
-            for b, sw, pw, sr, pv, cv in zip(
-                base, sum_w, patch_w, sum_r, comments[parent_idx].vector, comment.vector
-            )
+        slack = 1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53
+        cur_total = state.total
+        cur_mass = state.mass.tolist()
+        limits = [
+            slack * max(e / 100.0, cur_mass[idx] / cur_total)
+            for e, (idx, _) in zip(self._effective_tuple(self.processed_count), _GOVERNED_IDX)
         ]
-        total = sum(hyp)
-        for (idx, _), limit in zip(_GOVERNED_IDX, limits):
-            if hyp[idx] > max(total * limit, floor):
-                return True
-        return False
+        return start, sums[0] + sums[2], sums[1], sums[3], limits, _SCREEN_MIN / cur_total
+
+    def _ancestry(self, parent_idx: int) -> tuple[int, ...]:
+        """The ``congraph._ancestor_chain`` of the published comment in row
+        ``parent_idx``, built on first use: it never changes once the
+        comment is published."""
+        chain = self._ancestries.get(parent_idx)
+        if chain is None:
+            assert self.graph is not None
+            chain = self._ancestries[parent_idx] = congraph._ancestor_chain(
+                self.graph, parent_idx
+            )
+        return chain
 
     def _screen_mask(self, order: list[QueueEntry], start: int) -> list[bool]:
         """Per row of the held screen, True only where ``_passes`` is False in
@@ -810,7 +722,7 @@ class Engine:
         if screen.pending:
             index = self.graph._index
             parents = [index[e.parent_id] for e in screen.pending]
-            screen._file_pending(self.graph, parents, [self._ancestry(p).chain for p in parents])
+            screen._file_pending(self.graph, parents, [self._ancestry(p) for p in parents])
         mask = [False] * len(screen)
         slot = screen.slot
         positions = [slot[e.comment.id] for e in order[start:] if e.comment.id in slot]
@@ -971,18 +883,30 @@ class Engine:
         self.requeue_scan(now)
         return AdmissionDecision.ADMITTED
 
-    def _priority_order(self) -> list[QueueEntry]:
-        """The bucketed entries by the current board percentage of their
-        dominant emotion (neutral counts as 0), then enqueue time, then id:
-        the buckets in share order, merged where shares are equal."""
+    def _priority_key(self) -> Callable[[QueueEntry], tuple]:
+        """The key of the priority order in the current graph state: the
+        board percentage of the entry's dominant emotion (neutral counts as
+        0), then enqueue time, then id."""
         percentages = self.board().percentages
+
+        def key(entry: QueueEntry) -> tuple:
+            dominant = entry.comment.dominant
+            share = 0.0 if dominant is None else percentages[EMOTION_INDEX[dominant]]
+            return (share,) + _TIME_ID(entry)
+
+        return key
+
+    def _priority_order(self) -> list[QueueEntry]:
+        """The bucketed entries in ``_priority_key`` order: the buckets by
+        share, merged where shares are equal."""
+        key = self._priority_key()
         by_share: dict[float, list[list[QueueEntry]]] = {}
-        for dominant, bucket in self._buckets.items():
-            by_share.setdefault(_bucket_share(percentages, dominant), []).append(bucket)
+        for bucket in self._buckets.values():
+            by_share.setdefault(key(bucket[0])[0], []).append(bucket)
         order: list[QueueEntry] = []
         for share in sorted(by_share):
             buckets = by_share[share]
-            order.extend(buckets[0] if len(buckets) == 1 else heapq.merge(*buckets, key=_TIME_ID))
+            order.extend(buckets[0] if len(buckets) == 1 else heapq.merge(*buckets, key=key))
         return order
 
     def _unfile(self, entry: QueueEntry) -> None:
@@ -997,15 +921,7 @@ class Engine:
         in underrepresented-emotion order."""
         if not self._buckets:
             return []
-        percentages = self.board().percentages
-
-        def key(entry: QueueEntry) -> tuple[float, float, str]:
-            return (
-                _bucket_share(percentages, entry.comment.dominant),
-                entry.enqueue_time,
-                entry.comment.id,
-            )
-
+        key = self._priority_key()
         order = self._priority_order()
         walk = _PassScreen(self, order)
         released: list[QueueEntry] = []

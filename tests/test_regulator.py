@@ -33,6 +33,7 @@ from emoqueue.regulator import (
     ThresholdConfig,
     UnknownParentError,
     _HeldScreen,
+    _SCREEN_BATCH_MIN,
     _THRESHOLD_TABLE_MAX,
     _may_hold,
 )
@@ -973,9 +974,8 @@ def screened_cases(draw):
 
 def screen_rejections(eng: Engine, candidates) -> dict[str, list[bool]]:
     """Whether the screen rejects held entries for ``candidates`` in
-    ``eng``'s graph state, per path: the scalar screen (in turn, so that
-    later candidates read the ancestor sums earlier ones cached), a
-    one-entry batch of each, and one batch of all."""
+    ``eng``'s graph state, per path: a one-entry batch of each, and one
+    batch of all."""
     entries = [QueueEntry(c, c.parent_id, c.created_at) for c in candidates]
 
     def batch(group):
@@ -985,21 +985,15 @@ def screen_rejections(eng: Engine, candidates) -> dict[str, list[bool]]:
         return [mask[eng._screen.slot[e.comment.id]] for e in group]
 
     return {
-        "scalar": [eng._screen_one(e) for e in entries],
         "one-entry batch": [batch([e])[0] for e in entries],
         "batch": batch(entries),
     }
 
 
-def watch_screens(eng: Engine, scalar, batched) -> None:
-    """Call ``scalar(entry, rejected)`` after each scalar screen of ``eng``
-    and ``batched(entry, rejected)`` for each entry a batched screen covers."""
-    one, mask_of = eng._screen_one, eng._screen_mask
-
-    def watched_one(entry):
-        rejected = one(entry)
-        scalar(entry, rejected)
-        return rejected
+def watch_screens(eng: Engine, batched) -> None:
+    """Call ``batched(entry, rejected)`` for each entry a screen of ``eng``
+    covers."""
+    mask_of = eng._screen_mask
 
     def watched_mask(order, start):
         mask = mask_of(order, start)
@@ -1009,13 +1003,11 @@ def watch_screens(eng: Engine, scalar, batched) -> None:
                 batched(entry, mask[slot[entry.comment.id]])
         return mask
 
-    eng._screen_one = watched_one
     eng._screen_mask = watched_mask
 
 
 class TestRetestScreen:
-    """The screen, scalar or batched, only ever rejects what the exact test
-    rejects."""
+    """The screen only ever rejects what the exact test rejects."""
 
     @given(screened_cases())
     @settings(max_examples=300, deadline=None)
@@ -1069,6 +1061,7 @@ class TestRetestScreen:
         outcomes = {"rejected": 0, "deferred_failing": 0, "batched": 0}
 
         def audit(entry, rejected):
+            outcomes["batched"] += 1
             exact = eng._passes(entry.comment, entry.parent_id, eng.processed_count)
             assert not (rejected and exact)
             if rejected:
@@ -1076,13 +1069,10 @@ class TestRetestScreen:
             elif not exact:
                 outcomes["deferred_failing"] += 1
 
-        def counted(entry, rejected):
-            outcomes["batched"] += 1
-            audit(entry, rejected)
-
-        watch_screens(eng, audit, counted)
+        watch_screens(eng, audit)
         replay(eng, records, classified)
-        assert outcomes["rejected"] > 1000
+        # 581 of the 599 screened entries are rejected
+        assert outcomes["rejected"] > 500
         assert outcomes["deferred_failing"] <= outcomes["rejected"] // 100
         assert outcomes["batched"] > 300
 
@@ -1091,30 +1081,48 @@ class TestRetestScreen:
         records, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig())
         screened, unscreened = Engine(damping=1e-17), Engine(damping=1e-17)
         batched = []
-        watch_screens(screened, lambda entry, rejected: None, lambda *screen: batched.append(1))
-        unscreened._screen_one = lambda entry: False
+        watch_screens(screened, lambda *screen: batched.append(1))
         unscreened._screen_mask = lambda order, start: [False] * len(unscreened._screen)
         for eng in (screened, unscreened):
             replay(eng, records, classified)
         assert screened.decisions == unscreened.decisions
-        assert screened._ancestries and not any(a.chain for a in screened._ancestries.values())
+        assert screened._ancestries and not any(chain for chain in screened._ancestries.values())
         assert len(batched) > 100
+
+    def test_pass_rule(self, lexicon, emoji_lexicon):
+        # the first entry of every graph state goes to the exact test, and a
+        # batched screen starts only with _SCREEN_BATCH_MIN or more left
+        records, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig(), 400)
+        screened, unscreened = _PassRuleEngine(), Engine()
+        unscreened._screen_mask = lambda order, start: [False] * len(unscreened._screen)
+        for eng in (screened, unscreened):
+            replay(eng, records, classified)
+        assert screened.decisions == unscreened.decisions
+        assert screened.batches > 10
+        assert screened.first_tests > 100
 
     def test_screen_limits_follow_the_thresholds(self):
         # a held submission moves the thresholds (here by decay) but not the
-        # window, so the screen's limits are rebuilt while its sums are kept
+        # window: the screen reads the new limits and the same sums
         eng = Engine(thresholds=ThresholdConfig(decay_gamma=20.0, decay_scale=4))
         eng.submit(make_comment("r", None, 0.0, EmotionKind.JOY, 0.5), now=0.0)
         state = eng._window()
+        eff_before = eng._effective_tuple(eng.processed_count)
         before = eng._screen_inputs(state)
         decision = eng.submit(make_comment("x", "r", 1.0, EmotionKind.ANGER, 0.9), now=1.0)
         assert decision is AdmissionDecision.HELD
         assert eng._state is state
+        eff_after = eng._effective_tuple(eng.processed_count)
+        assert eff_after != eff_before
         after = eng._screen_inputs(state)
-        assert after[:4] == before[:4]
-        assert after != before
-        state.screen = state.inputs = None
-        assert eng._screen_inputs(state) == after
+        assert after[0] == before[0] and after[5] == before[5]
+        for new, old in zip(after[1:4], before[1:4]):
+            assert new.tobytes() == old.tobytes()
+        # the board is all joy, so each limit is the slack times eff_e / 100
+        assert after[4] != before[4]
+        assert [limit / e for limit, e in zip(after[4], eff_after)] == pytest.approx(
+            [limit / e for limit, e in zip(before[4], eff_before)], rel=1e-15
+        )
 
     @staticmethod
     def tie_engine(vector, intensities):
@@ -1148,6 +1156,45 @@ class TestRetestScreen:
             assert path == [False]
         assert eng._passes(candidate, "n0", eng.processed_count)
         assert eng.submit(candidate, now=candidate.created_at) is AdmissionDecision.ADMITTED
+
+
+class _PassRuleEngine(Engine):
+    """Checks, at every batched screen, that the pass has already sent an
+    entry of the graph state to the exact test and that the screen covers
+    at least ``_SCREEN_BATCH_MIN`` entries."""
+
+    batches = first_tests = 0
+    in_pass = False
+    tested = False  # an entry of this pass and graph state went to the exact test
+
+    def _admit(self, *args):
+        super()._admit(*args)
+        self.tested = False
+
+    def requeue_scan(self, now):
+        return self._pass(super().requeue_scan, now)
+
+    def finalize(self, now):
+        return self._pass(super().finalize, now)
+
+    def _pass(self, run, now):
+        self.in_pass, self.tested = True, False
+        try:
+            return run(now)
+        finally:
+            self.in_pass = False
+
+    def _passes(self, comment, parent_id, processed):
+        if self.in_pass and _may_hold(comment) and not self.tested:
+            self.first_tests += 1
+        self.tested = True
+        return super()._passes(comment, parent_id, processed)
+
+    def _screen_mask(self, order, start):
+        assert self.tested
+        assert len(order) - start >= _SCREEN_BATCH_MIN
+        self.batches += 1
+        return super()._screen_mask(order, start)
 
 
 class _BoardAuditEngine(Engine):
@@ -1255,7 +1302,7 @@ class _ScratchAuditEngine(Engine):
             state = self._window()
             mass, _ = congraph._hypothetical_mass_totals(
                 graph, self.window_size, self.weights, comment, parent_id,
-                self._hypothetical_weights(state), self._ancestry(graph._index[parent_id]).chain,
+                self._hypothetical_weights(state), self._ancestry(graph._index[parent_id]),
             )
             expected = scratch_hypothetical_mass(
                 graph, self.window_size, self.weights, comment, parent_id
