@@ -560,20 +560,22 @@ def _hypothetical_mass_totals(
     parent_id: str,
     weight_arr: np.ndarray | None = None,
     chain: tuple[int, ...] | None = None,
+    patch: tuple[tuple[int, ...], float, int, int] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Masses and total as if ``candidate`` were admitted under ``parent_id``;
     ``weight_arr`` may pass in the PageRank weights of the hypothetical
-    window's old rows, which it does not modify, and ``chain`` the parent's
-    ``_ancestor_chain``."""
+    window's old rows, which it does not modify, ``chain`` the parent's
+    ``_ancestor_chain`` and ``patch`` its ``_admission_patch`` for the
+    hypothetical window."""
     parent_idx = graph._index.get(parent_id)
     if parent_idx is None:
         raise UnknownNodeError(parent_id)
     n = graph._n
     start = max(0, n + 1 - window_size)
     sl = slice(start, n)
-    bumps, max_weight, parent_replies, max_replies = _admission_patch(
-        graph, parent_idx, start, chain
-    )
+    if patch is None:
+        patch = _admission_patch(graph, parent_idx, start, chain)
+    bumps, max_weight, parent_replies, max_replies = patch
     if weight_arr is None:
         weight_arr = _window_weights(graph, start)
     elif bumps:

@@ -14,6 +14,7 @@ import gzip
 import json
 import logging
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +52,18 @@ class ParseResult:
         return len(self.records)
 
 
+def _encodable(*values: str) -> bool:
+    """False if UTF-8 cannot encode one of ``values``: it holds a lone
+    surrogate, from a ``\\ud800`` escape or from an undecodable byte read
+    with ``surrogateescape``."""
+    try:
+        for value in values:
+            value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _coerce_record(obj: object) -> RawRecord | None:
     if not isinstance(obj, dict):
         return None
@@ -79,6 +92,12 @@ def _coerce_record(obj: object) -> RawRecord | None:
         return None
     if parent == "":
         parent = None
+    # only a non-ASCII string can hold a surrogate
+    if not (
+        rid.isascii() and author.isascii() and text.isascii()
+        and (parent is None or parent.isascii())
+    ) and not _encodable(rid, author, text, parent or ""):
+        return None
     return RawRecord(
         id=rid, parent_id=parent, author=author, created_at=created, text=text
     )
@@ -87,9 +106,10 @@ def _coerce_record(obj: object) -> RawRecord | None:
 def parse_jsonl(path: str | Path) -> ParseResult:
     """Parse a JSONL (optionally gzip-compressed) file of raw records.
 
-    Malformed lines are skipped and counted; a duplicated id keeps the last
-    record seen. Raises IngestError if the file is unreadable and
-    EmptyInputError if no valid record survives.
+    Malformed lines are skipped and counted, among them lines whose string
+    fields are not valid UTF-8 text; a duplicated id keeps the last record
+    seen. Raises IngestError if the file is unreadable or its gzip stream is
+    corrupt or truncated, and EmptyInputError if no valid record survives.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -97,7 +117,9 @@ def parse_jsonl(path: str | Path) -> ParseResult:
     malformed = 0
     duplicates = 0
     try:
-        with opener(path, "rt", encoding="utf-8") as handle:
+        # an undecodable byte becomes a lone surrogate, which _coerce_record
+        # rejects, so the line counts as malformed
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -114,7 +136,9 @@ def parse_jsonl(path: str | Path) -> ParseResult:
                 if record.id in by_id:
                     duplicates += 1
                 by_id[record.id] = record
-    except OSError as exc:
+    except (OSError, EOFError, zlib.error) as exc:
+        # gzip raises EOFError on a truncated stream and zlib.error on some
+        # corrupt ones (BadGzipFile is an OSError)
         raise IngestError(f"cannot read {path}: {exc}") from exc
     if malformed:
         logger.warning("%s: skipped %d malformed line(s)", path, malformed)

@@ -88,8 +88,7 @@ when, for some governed emotion, the mass exceeds
 ``(1 + tau) * max(eff_e / 100, c_e / T_cur)`` of the total, that is, fails
 both inequalities by the factor ``1 + tau``, with
 ``tau = 8 * (rows + 16) * u`` and ``u = 2**-53``; any other entry gets the
-exact test, so every decision is the exact path's. ``submit`` is exact
-only, since most submitted comments pass.
+exact test, so every decision is the exact path's.
 
 A published comment's ancestor chain (``congraph._ancestor_chain``) never
 changes, so the engine builds it once, when the exact test or the screen
@@ -118,6 +117,53 @@ implies an exact rejection, while an exact tie (hypothetical share equal to
 the current one) always falls inside the slack and goes to the exact test.
 The bound is relative and fails under gradual underflow, so the screen
 rejects only when ``m_e > 2**-900 / T_cur``.
+
+Certificate. Every exact test (``_passes``: at submit, in a pass, at
+finalize) first tries to decide from bounds on the board the candidate
+would make, and computes that board in full (``_exact_passes``) only where
+the bounds do not decide. Per graph state (``_certificate``, built on its
+first call) it reads the base ``b_e``: the current masses less the row
+``n - W`` that leaves a full window. Per candidate, from the parent's
+``congraph._admission_patch`` (which the exact test then reuses), it adds
+``a_e``, what the admission adds at the new PageRank coefficient
+``pagerank / max_w'``: the candidate's own mass, the parent's new log reply
+count and the in-window ancestors' ``damping**k`` bumps. New maxima only
+shrink the base, its PageRank terms by at most ``rho_w = max_w / max_w'``
+and its reply terms by at most ``rho_r = log2(1 + max_r) / log2(1 +
+max_r')``, and every term is non-negative, so the mass lies in
+``[rho * b_e + a_e, b_e + a_e]`` with ``rho = min(rho_w, rho_r)``, and the
+total likewise. Where that does not decide and ``max_w`` moved, the bounds
+split the base into its PageRank part ``c_w * B_e`` (``B_e`` sums PageRank
+weight times vector over the window, ``c_w = pagerank / max_w``; built once
+per state, ``_ranked``) and the rest ``R_e``: the mass then lies in
+``[rho_r * R_e + rho_w * c_w * B_e + a_e, R_e + rho_w * c_w * B_e + a_e]``.
+A pass is certified where ``_clears``, the exact test's comparisons, holds
+for the upper masses against the lower total; a fail where it fails for
+the lower masses against the upper total and the lower total is positive.
+Rounding is monotone, so the exact test's comparisons of its own masses
+then give the same verdict. Each bound is widened by
+``err = tau * S + 2**-900``, ``tau`` as above with ``rows = min(n, W)``,
+where ``S`` is the current total plus the leaving row plus the adds' total
+(plus the PageRank part, where it is split off). The error terms are
+absolute, scaled by ``S`` and not by the bound, because the base and the
+rest are differences that can cancel. Why ``tau`` covers them, with
+``gamma_k = k * u / (1 - k * u)``: the exact path's masses and total lie
+within ``gamma`` (above) of their real values, which lie between the real
+bounds, so at most ``gamma * S`` beyond them; each computed bound lies
+within ``gamma_(rows+21) * S`` of its real bound (the current masses' and
+total's ``gamma_(rows+12)``, the ``rows``-term PageRank sums, under ten
+roundings for the leaving row, the coefficients, ``rho``, the adds and the
+subtractions, and seven for the eight-term sums); so the two differ by
+less than ``2 * gamma_(rows+21) * S``, about ``(2 * rows + 42) * u * S``,
+and ``tau * S = 8 * (rows + 16) * u * S`` exceeds that with room for the
+widening's own two roundings (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 3-4). Under gradual underflow an operation loses
+up to ``2**-1075`` absolute, far less than the ``2**-900`` term over any
+feasible count of operations. The bounds never decide an exact tie (a
+single-emotion board) or a board below the ``2**-900`` floor, and a zero
+current total builds no certificate: those go to the exact test. So does a
+candidate with more than ``_CERTIFY_MAX_BUMPS`` ancestors in the window,
+where the exact test costs less than the certificate's sums.
 """
 
 from __future__ import annotations
@@ -128,7 +174,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -148,24 +194,32 @@ GOVERNED_EMOTIONS: tuple[EmotionKind, ...] = (
 POSITIVE_EMOTIONS: frozenset[EmotionKind] = frozenset(
     {EmotionKind.JOY, EmotionKind.TRUST, EmotionKind.ANTICIPATION}
 )
-_GOVERNED_IDX: tuple[tuple[int, EmotionKind], ...] = tuple(
-    (EMOTION_INDEX[e], e) for e in GOVERNED_EMOTIONS
-)
-_GOVERNED_COLS = np.array([idx for idx, _ in _GOVERNED_IDX])
+_GOVERNED_COLS = np.array([EMOTION_INDEX[e] for e in GOVERNED_EMOTIONS])
+# a vector's governed entries, in GOVERNED_EMOTIONS order
+_GOVERNED_OF = itemgetter(*_GOVERNED_COLS.tolist())
 
 ACTIVITY_RING = 20
 DEFAULT_ACTIVITY_CUTOFF = 60.0
 DEFAULT_RHO = 0.5
 
-# the re-test screen's slack is 1 + _SCREEN_ULPS * (window rows + 16) * 2**-53;
-# below _SCREEN_MIN rounding errors stop being relative (gradual underflow)
+# the re-test screen's slack is 1 + _SCREEN_ULPS * (window rows + 16) * 2**-53,
+# and the certificate's _SCREEN_ULPS * (window rows + 16) * 2**-53 of its
+# scale; below _SCREEN_MIN rounding errors stop being relative (gradual
+# underflow)
 _SCREEN_ULPS = 8.0
 _SCREEN_MIN = 2.0**-900
 # after its first entry, a graph state screens the rest of the pass at once
-# if at least this many are left, else sends them to the exact test; on 2
-# cores, values from 4 to 16 timed the same within noise on storm and
-# calibrated streams
+# if at least this many are left, else sends each to the exact test, which
+# the certificate mostly decides; engine-only medians of interleaved rounds
+# on 2 cores, troll_storm shape (seed 61): 4: 0.70 s, 8: 0.64-0.67 s,
+# 12-32: 0.60-0.65 s, 48: 0.65 s, never batching: 0.76 s; calibrated shape:
+# 0.20-0.21 s for every value
 _SCREEN_BATCH_MIN = 12
+# a candidate with more of its ancestors in the window goes straight to the
+# exact test: the certificate sums each such row in Python, about 0.36 us a
+# row on 2 cores against 0.15 us for the exact test's patch, so at the
+# default window's 99 (a deep reply chain) it cost 29 us against 22 us
+_CERTIFY_MAX_BUMPS = 16
 _ZERO_VECTOR = (0.0,) * 8
 # a priority bucket's order: enqueue time, then id
 _TIME_ID = attrgetter("enqueue_time", "comment.id")
@@ -286,10 +340,13 @@ class DecisionRow(NamedTuple):
 
 class _WindowState:
     """The window in one graph state, shared by every reader until the next
-    admission: the window's PageRank weights, masses, board and the board
-    rounded for the decision log."""
+    admission: the window's PageRank weights, masses, board, the board
+    rounded for the decision log, and what the certificate reads of the
+    state (``Engine._certificate``, ``()`` where the current total is 0,
+    and ``Engine._ranked``), built on the certificate's first call that
+    reads it."""
 
-    __slots__ = ("weights", "mass", "total", "board", "logged")
+    __slots__ = ("weights", "mass", "total", "board", "logged", "cert", "ranked")
 
     def __init__(self, weights: np.ndarray, mass, total: float):
         self.weights = weights
@@ -297,6 +354,8 @@ class _WindowState:
         self.total = total
         self.board: EmotionBoard | None = None
         self.logged: tuple[float, ...] | None = None
+        self.cert: tuple | None = None
+        self.ranked: tuple | None = None
 
 
 def _may_hold(comment: ClassifiedComment) -> bool:
@@ -304,6 +363,57 @@ def _may_hold(comment: ClassifiedComment) -> bool:
     positive one."""
     dominant = comment.dominant
     return dominant is not None and dominant not in POSITIVE_EMOTIONS
+
+
+def _row_sums(graph: ConversationGraph, rows, step: float, coef_w: float) -> tuple:
+    """Governed entries and row sum of the vectors of ``rows``, a parent and
+    the in-window head of its ancestor chain, ``rows[k]`` weighted by
+    ``coef_w * damping**(k + 1)`` and the parent, ``rows[0]``, by ``step``
+    more."""
+    coefs = [coef_w * delta for delta in graph._powers[: len(rows)]] or [0.0]
+    coefs[0] += step
+    s0 = s1 = s2 = s3 = s4 = 0.0
+    comments = graph._comments
+    for row, coef in zip(rows, coefs):
+        vec = comments[row].vector
+        v0, v1, v2, v3 = _GOVERNED_OF(vec)
+        s0 += coef * v0
+        s1 += coef * v1
+        s2 += coef * v2
+        s3 += coef * v3
+        s4 += coef * sum(vec)
+    return s0, s1, s2, s3, s4
+
+
+def _bounded_verdict(eff, upper, lower, cur_masses, cur_total: float) -> bool | None:
+    """The exact test's verdict from upper and lower bounds of the governed
+    masses and total (the total last) a candidate would make, where they
+    decide it, else None: a pass where ``_clears`` holds for the upper
+    masses against the lower total, a fail where it fails for the lower
+    masses against the upper total and the lower total is positive."""
+    if _clears(eff, upper, lower[4], cur_masses, cur_total):
+        return True
+    if lower[4] > 0.0 and not _clears(eff, lower, upper[4], cur_masses, cur_total):
+        return False
+    return None
+
+
+def _clears(eff, masses, total: float, cur_masses, cur_total: float) -> bool:
+    """The exact test's comparisons, per governed emotion in
+    ``GOVERNED_EMOTIONS`` order: ``100*m_e <= eff_e*T`` or
+    ``m_e*T_cur <= c_e*T`` (``m_e <= 0`` when ``T_cur`` is 0), for masses
+    ``m_e`` and total ``T`` of the board a candidate would make and current
+    masses ``c_e`` and total ``T_cur``."""
+    for e, mass, cur in zip(eff, masses, cur_masses):
+        if 100.0 * mass <= e * total:
+            continue
+        if cur_total > 0.0:
+            if mass * cur_total <= cur * total:
+                continue
+        elif mass <= 0.0:
+            continue
+        return False
+    return True
 
 
 class _HeldScreen:
@@ -647,8 +757,22 @@ class Engine:
     # -- decision predicate ---------------------------------------------------
 
     def _passes(self, comment: ClassifiedComment, parent_id: str, processed: int) -> bool:
+        """The exact test's verdict on admitting ``comment`` under
+        ``parent_id`` after ``processed`` submissions: the certificate's
+        where it decides, ``_exact_passes``' elsewhere."""
         if not _may_hold(comment):
             return True
+        verdict, patch = self._certify(comment, parent_id, processed)
+        if verdict is None:
+            return self._exact_passes(comment, parent_id, processed, patch)
+        return verdict
+
+    def _exact_passes(
+        self, comment: ClassifiedComment, parent_id: str, processed: int, patch=None
+    ) -> bool:
+        """The exact test: the board the candidate would make, computed in
+        full, against ``_clears``. ``patch`` may pass in the parent's
+        ``congraph._admission_patch``."""
         graph = self.graph
         assert graph is not None
         state = self._window()
@@ -660,25 +784,134 @@ class Engine:
             parent_id,
             self._hypothetical_weights(state),
             self._ancestry(graph._index[parent_id]),
+            patch,
         )
         if hyp_total <= 0.0:
             return True
         # Python floats round as numpy's float64 scalars do, and cost less
-        hyp_mass = hyp_mass.tolist()
-        cur_mass = state.mass.tolist()
+        return _clears(
+            self._effective_tuple(processed),
+            _GOVERNED_OF(hyp_mass.tolist()),
+            hyp_total,
+            _GOVERNED_OF(state.mass.tolist()),
+            state.total,
+        )
+
+    def _certificate(self, state: _WindowState) -> tuple:
+        """What the certificate reads of one graph state, per governed
+        emotion and then for the total: the current masses, and those of
+        the hypothetical window's old rows now (the base: the current masses
+        less the row that leaves the window). Then the scale of the base's
+        rounding error (the current total plus the leaving row), the
+        PageRank coefficient, the log of the maximum reply count and the
+        slack. ``()`` where the current total is 0."""
         cur_total = state.total
+        if not cur_total > 0.0:
+            return ()
+        graph = self.graph
+        assert graph is not None
+        weights = self.weights
+        n = len(graph)
+        cur = _GOVERNED_OF(state.mass.tolist()) + (cur_total,)
+        base, scale = cur, cur_total
+        if n >= self.window_size:
+            # the hypothetical window drops row n - W; the graph stores the
+            # row terms of the engine's own weights
+            row = n - self.window_size
+            infl = congraph._influence(
+                weights, graph._int_term.item(row), graph._weight[row],
+                graph._depth_term.item(row), graph._log_replies.item(row),
+                graph._max_weight, graph._max_replies,
+            )
+            vec = graph._comments[row].vector
+            leaving = (*[infl * v for v in _GOVERNED_OF(vec)], infl * sum(vec))
+            base = [c - x for c, x in zip(cur, leaving)]
+            scale += leaving[4]
+        return (
+            cur[:4],
+            cur_total,
+            base,
+            scale,
+            weights.pagerank / graph._max_weight,
+            math.log2(1.0 + graph._max_replies),
+            _SCREEN_ULPS * (min(n, self.window_size) + 16) * 2.0**-53,
+        )
+
+    def _ranked(self, state: _WindowState) -> tuple:
+        """The hypothetical window's old rows' sums of PageRank weight times
+        vector, governed entries then row sum, built on first use."""
+        if state.ranked is None:
+            graph = self.graph
+            n = len(graph)
+            sums = (
+                self._hypothetical_weights(state)
+                @ graph._vectors[max(0, n + 1 - self.window_size) : n]
+            ).tolist()
+            state.ranked = (*_GOVERNED_OF(sums), sum(sums))
+        return state.ranked
+
+    def _certify(
+        self, comment: ClassifiedComment, parent_id: str, processed: int
+    ) -> tuple[bool | None, tuple]:
+        """The certificate: the exact test's verdict where bounds on the
+        board the candidate would make decide it (``_bounded_verdict``),
+        else None, and the parent's ``_admission_patch``."""
+        graph = self.graph
+        assert graph is not None
+        state = self._window()
+        parent_idx = graph._index[parent_id]
+        start = max(0, len(graph) + 1 - self.window_size)
+        patch = congraph._admission_patch(graph, parent_idx, start, self._ancestry(parent_idx))
+        bumps, max_weight, parent_replies, max_replies = patch
+        if len(bumps) > _CERTIFY_MAX_BUMPS:
+            return None, patch
+        if state.cert is None:
+            state.cert = self._certificate(state)
+        if not state.cert:
+            return None, patch
+        cur, cur_total, base, scale, coef_w, log_max_r, slack = state.cert
+        weights = self.weights
+        # what the admission adds, at the new PageRank coefficient: the
+        # candidate's own mass, the parent's new log reply count and the
+        # in-window ancestors' damping**k bumps
+        new_coef_w = weights.pagerank / max_weight
+        int_term, depth_term = congraph._row_terms(
+            weights, comment.intensity, graph._depth.item(parent_idx) + 1.0
+        )
+        own = int_term + new_coef_w + depth_term
+        vec = comment.vector
+        adds = [own * v for v in (*_GOVERNED_OF(vec), sum(vec))]
+        log_r = log_max_r
+        if max_replies != graph._max_replies:
+            log_r = math.log2(1.0 + max_replies)
+        if parent_idx >= start:
+            step = (math.log2(1.0 + parent_replies) - graph._log_replies.item(parent_idx)) * (
+                weights.replies / log_r
+            )
+            rows = _row_sums(graph, bumps or (parent_idx,), step, new_coef_w)
+            adds = [a + r for a, r in zip(adds, rows)]
+        # new maxima only shrink the base: by at most rho_w in its PageRank
+        # part and rho_r in the rest
+        rho_w = graph._max_weight / max_weight
+        rho_r = log_max_r / log_r if graph._max_replies else 1.0
+        err = slack * (scale + adds[4]) + _SCREEN_MIN
+        upper = [b + a + err for b, a in zip(base, adds)]
+        rho = min(rho_w, rho_r)
+        lower = [rho * b + a - err for b, a in zip(base, adds)]
         eff = self._effective_tuple(processed)
-        for pos, (idx, _) in enumerate(_GOVERNED_IDX):
-            mass = hyp_mass[idx]
-            if 100.0 * mass <= eff[pos] * hyp_total:
-                continue
-            if cur_total > 0.0:
-                if mass * cur_total <= cur_mass[idx] * hyp_total:
-                    continue
-            elif mass <= 0.0:
-                continue
-            return False
-        return True
+        verdict = _bounded_verdict(eff, upper, lower, cur, cur_total)
+        if verdict is not None or rho_w == 1.0:
+            return verdict, patch
+        # split off the base's PageRank part, which shrinks by rho_w
+        ranked = self._ranked(state)
+        err += slack * coef_w * ranked[4]
+        upper, lower = [], []
+        for b, w, a in zip(base, ranked, adds):
+            rest = b - coef_w * w
+            moved = new_coef_w * w + a
+            upper.append(rest + moved + err)
+            lower.append(rho_r * rest + moved - err)
+        return _bounded_verdict(eff, upper, lower, cur, cur_total), patch
 
     def _screen_inputs(self, state: _WindowState) -> tuple:
         """What the screen reads of one graph state and the thresholds now:
@@ -695,10 +928,11 @@ class Engine:
         )
         slack = 1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53
         cur_total = state.total
-        cur_mass = state.mass.tolist()
         limits = [
-            slack * max(e / 100.0, cur_mass[idx] / cur_total)
-            for e, (idx, _) in zip(self._effective_tuple(self.processed_count), _GOVERNED_IDX)
+            slack * max(e / 100.0, cur / cur_total)
+            for e, cur in zip(
+                self._effective_tuple(self.processed_count), _GOVERNED_OF(state.mass.tolist())
+            )
         ]
         return start, sums[0] + sums[2], sums[1], sums[3], limits, _SCREEN_MIN / cur_total
 

@@ -9,8 +9,15 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
+from hypothesis import settings
 
 from emoqueue.emolex import load_emoji_lexicon, load_lexicon
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci) so that a failing property
+# prints the blob that replays it; deadline=None because shared CI cores make
+# single examples slow
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

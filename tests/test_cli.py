@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 
@@ -265,6 +266,62 @@ class TestPruneEval:
         a_red = float(out.split("influence_and_toxicity:")[1].split("reduction=")[1].split()[0])
         b_red = float(out.split("toxicity_only:")[1].split("reduction=")[1].split()[0])
         assert a_red >= b_red
+
+
+_ROOT_LINE = b'{"id": "r", "parent_id": null, "author": "u", "created_at": 0, "text": "hi"}\n'
+# a stream line with undecodable bytes, and two whose id or text is the valid
+# JSON escape of a lone surrogate, which UTF-8 cannot encode
+_BAD_TEXT_LINES = {
+    name: b'{"id": %s, "parent_id": "r", "author": "u", "created_at": 1, "text": %s}\n'
+    % fields
+    for name, fields in {
+        "bytes": (b'"b\xff\xfe"', b'"x"'),
+        "surrogate-id": (b'"\\ud800"', b'"x"'),
+        "surrogate-text": (b'"s"', b'"\\ud800"'),
+    }.items()
+}
+_STREAM_COMMANDS = {
+    "classify": ("classify",),
+    "simulate-on": ("simulate", "--queue", "on"),
+    "simulate-off": ("simulate", "--queue", "off"),
+    "prune-eval": ("prune-eval",),
+}
+
+
+def _cli_on_stream(tmp_path, command, path):
+    args = list(_STREAM_COMMANDS[command])
+    if args[0] == "simulate":
+        args += ["--out", tmp_path / "runs"]
+    elif args[0] == "classify":
+        args += ["--out", tmp_path / "classified.jsonl"]
+    return run_cli(args[0], path, *args[1:])
+
+
+class TestBadText:
+    """A stream line that is not UTF-8 text is malformed: skipped and counted."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_TEXT_LINES))
+    @pytest.mark.parametrize("command", sorted(_STREAM_COMMANDS))
+    def test_bad_line_skipped(self, tmp_path, command, bad):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(_ROOT_LINE + _BAD_TEXT_LINES[bad])
+        assert _cli_on_stream(tmp_path, command, path) == 0
+        assert parse_jsonl(path).malformed == 1
+
+    @pytest.mark.parametrize("command", sorted(_STREAM_COMMANDS))
+    def test_only_bad_lines_exit_2(self, tmp_path, command, capsys):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b"".join(_BAD_TEXT_LINES.values()))
+        assert _cli_on_stream(tmp_path, command, path) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_STREAM_COMMANDS))
+    def test_truncated_gzip_exits_3(self, corpus, tmp_path, command, capsys):
+        data = gzip.compress(corpus.read_bytes())
+        path = tmp_path / "stream.jsonl.gz"
+        path.write_bytes(data[: len(data) // 2])
+        assert _cli_on_stream(tmp_path, command, path) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_parser_built_once():

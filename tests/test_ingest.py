@@ -86,6 +86,39 @@ class TestParseJsonl:
         result = parse_jsonl(path)
         assert len(result) == 1
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"id": "b", "parent_id": "a", "author": "u\xff", "created_at": 1, "text": "x"}',
+            b'\xff\xfe',
+            b'{"id": "b", "parent_id": "\\udfff", "author": "u", "created_at": 1, "text": "x"}',
+            b'{"id": "b", "parent_id": "a", "author": "u", "created_at": 1, "text": "\\ud800!"}',
+        ],
+        ids=["byte-in-author", "bytes-only", "surrogate-parent", "surrogate-text"],
+    )
+    def test_text_that_is_not_utf8_counted_malformed(self, tmp_path, line):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(json.dumps(rec("a")).encode() + b"\n" + line + b"\n")
+        result = parse_jsonl(path)
+        assert [r.id for r in result.records] == ["a"]
+        assert result.malformed == 1
+
+    def test_non_ascii_text_kept(self, tmp_path):
+        rows = [rec("a", text="caf\u00e9 \U0001f600"), rec("b\u00e9", "a", 1.0)]
+        path = write_jsonl(tmp_path, rows)
+        result = parse_jsonl(path)
+        assert [r.text for r in result.records] == ["caf\u00e9 \U0001f600", "hello"]
+        assert result.malformed == 0
+
+    @pytest.mark.parametrize("cut", [0.5, 0.98], ids=["half", "last-bytes"])
+    def test_truncated_gzip_raises_ingest_error(self, tmp_path, cut):
+        path = tmp_path / "stream.jsonl.gz"
+        lines = "".join(json.dumps(rec(f"c{i}")) + "\n" for i in range(200))
+        data = gzip.compress(lines.encode())
+        path.write_bytes(data[: int(len(data) * cut)])
+        with pytest.raises(IngestError):
+            parse_jsonl(path)
+
     def test_empty_parent_string_is_none(self, tmp_path):
         path = write_jsonl(tmp_path, [dict(rec("a"), parent_id="")])
         assert parse_jsonl(path).records[0].parent_id is None

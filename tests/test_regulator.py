@@ -33,6 +33,7 @@ from emoqueue.regulator import (
     ThresholdConfig,
     UnknownParentError,
     _HeldScreen,
+    _CERTIFY_MAX_BUMPS,
     _SCREEN_BATCH_MIN,
     _THRESHOLD_TABLE_MAX,
     _may_hold,
@@ -1024,10 +1025,10 @@ class TestRetestScreen:
                 if rejected:
                     assert not eng._passes(candidate, candidate.parent_id, eng.processed_count)
 
-    def test_subnormal_board_is_deferred(self):
-        # the hypothetical window holds only subnormal vectors, where rounding
-        # errors are absolute, not relative: without its 2**-900 floor the
-        # screen rejected this comment, which the exact test admits
+    @staticmethod
+    def subnormal_engine():
+        """The hypothetical window holds only subnormal vectors, where
+        rounding errors are absolute, not relative."""
         t = 5e-324
         rows = [
             ((0.0, 0.9333812082765152, 0, 0, 0, 0.861317802669013, 0, 0),
@@ -1049,7 +1050,12 @@ class TestRetestScreen:
         eng = Engine(weights=weights, window_size=2, queue_enabled=False)
         for comment in comments[:-1]:
             eng.submit(comment, now=comment.created_at)
-        candidate = comments[-1]
+        return eng, comments[-1]
+
+    def test_subnormal_board_is_deferred(self):
+        # without its 2**-900 floor the screen rejected this comment, which
+        # the exact test admits
+        eng, candidate = self.subnormal_engine()
         assert eng._passes(candidate, "n0", eng.processed_count)
         for path in screen_rejections(eng, [candidate]).values():
             assert path == [False]
@@ -1156,6 +1162,198 @@ class TestRetestScreen:
             assert path == [False]
         assert eng._passes(candidate, "n0", eng.processed_count)
         assert eng.submit(candidate, now=candidate.created_at) is AdmissionDecision.ADMITTED
+
+
+def certified(eng: Engine, candidate) -> bool | None:
+    """The certificate's verdict on ``candidate`` in ``eng``'s graph state
+    (None where it defers to the exact test)."""
+    return eng._certify(candidate, candidate.parent_id, eng.processed_count)[0]
+
+
+def exact(eng: Engine, candidate) -> bool:
+    return eng._exact_passes(candidate, candidate.parent_id, eng.processed_count)
+
+
+def built_engine(tree, **kwargs) -> Engine:
+    """A queue-less engine that has admitted ``tree`` in order."""
+    eng = Engine(queue_enabled=False, **kwargs)
+    for comment in tree:
+        eng.submit(comment, now=comment.created_at)
+    return eng
+
+
+def boundary_case(rows, window: int, base: float) -> tuple:
+    """A ``screened_cases`` case: a tree whose ``rows`` are (parent, intensity,
+    vector), the last one the candidate, and one base threshold for every
+    governed emotion."""
+    comments = [
+        make_comment(f"n{i}", parent, float(i), EmotionKind.ANGER, intensity,
+                     vector=EmotionVector(vector))
+        for i, (parent, intensity, vector) in enumerate(rows)
+    ]
+    thresholds = ThresholdConfig(base={e: base for e in GOVERNED_EMOTIONS})
+    return comments[:-1], comments[-1:], InfluenceWeights(), window, thresholds, False
+
+
+_MIX = (0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# near-boundary cases found by random search against mutated certificates,
+# which certify a pass where the exact test fails: without the slack, the
+# first (an exact tie, which the exact test fails by rounding); with rho = 1,
+# the second (the root's second reply moves the maximum reply count)
+_ROUNDED_TIE = boundary_case(
+    [(None, 0.7398847975375811, _MIX), ("n0", 0.43566122428286946, _MIX)],
+    26, 30.187183372173884,
+)
+_MAX_REPLIES_MOVES = boundary_case(
+    [
+        (None, 0.49750332665284014, (0, 0, 0, 0, 1, 0, 0, 0)),
+        ("n0", 0.9279956202586183, (1, 0, 0, 0, 0, 0, 0, 0)),
+        ("n0", 0.3028949025887888, _MIX),
+    ],
+    7, 47.42701564588154,
+)
+
+
+class TestCertificate:
+    """Wherever the certificate decides an exact test, it decides it as the
+    exact test does."""
+
+    @given(screened_cases())
+    @example(_ROUNDED_TIE)
+    @example(_MAX_REPLIES_MOVES)
+    @settings(max_examples=300, deadline=None)
+    def test_certified_verdict_is_the_exact_verdict(self, case):
+        tree, candidates, weights, window, thresholds, active = case
+        eng = built_engine(tree, weights=weights, window_size=window, thresholds=thresholds)
+        eng._act_active = active
+        for candidate in candidates:
+            verdict = certified(eng, candidate)
+            expected = exact(eng, candidate)
+            assert verdict in (None, expected)
+            assert eng._passes(candidate, candidate.parent_id, eng.processed_count) is expected
+
+    @staticmethod
+    def angry_tree(n, chain=False):
+        """A binary reply tree, or a reply chain, two thirds anger and one
+        third joy."""
+        kinds = [EmotionKind.ANGER, EmotionKind.ANGER, EmotionKind.JOY]
+        return [
+            make_comment(f"n{i}", None if i == 0 else f"n{i - 1 if chain else (i - 1) // 2}",
+                         float(i), kinds[i % 3], 0.3 + 0.05 * (i % 7))
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def assert_decides_both_ways(eng, parent_id):
+        """A furious reply under ``parent_id`` is certified to fail and a
+        mild one to pass, as the exact test decides them."""
+        furious = make_comment("x", parent_id, 99.0, EmotionKind.ANGER, 1.0)
+        mild = make_comment("y", parent_id, 99.0, EmotionKind.SADNESS, 0.1)
+        assert certified(eng, furious) is exact(eng, furious) is False
+        assert certified(eng, mild) is exact(eng, mild) is True
+
+    @staticmethod
+    def keeps_every_row(eng) -> bool:
+        """Whether the certificate's base is the current board, with no row
+        leaving the window."""
+        cur, cur_total, base = eng._certificate(eng._window())[:3]
+        return list(base) == [*cur, cur_total]
+
+    def test_window_not_full(self):
+        eng = built_engine(self.angry_tree(12), window_size=50)
+        assert self.keeps_every_row(eng)
+        self.assert_decides_both_ways(eng, "n5")
+
+    def test_full_window_drops_its_first_row(self):
+        eng = built_engine(self.angry_tree(40), window_size=10)
+        assert not self.keeps_every_row(eng)
+        self.assert_decides_both_ways(eng, "n30")
+
+    @pytest.mark.parametrize("window", [_CERTIFY_MAX_BUMPS + 1, _CERTIFY_MAX_BUMPS + 2])
+    def test_long_chain_in_the_window(self, window):
+        # the candidate's parent and its ancestors fill the hypothetical
+        # window: the certificate decides up to _CERTIFY_MAX_BUMPS of them
+        eng = built_engine(self.angry_tree(40, chain=True), window_size=window)
+        for kind, intensity in [(EmotionKind.ANGER, 1.0), (EmotionKind.SADNESS, 0.1)]:
+            candidate = make_comment("c", "n39", 99.0, kind, intensity)
+            verdict, patch = eng._certify(candidate, "n39", eng.processed_count)
+            assert len(patch[0]) == window - 1
+            if window - 1 > _CERTIFY_MAX_BUMPS:
+                assert verdict is None
+            else:
+                assert verdict is exact(eng, candidate)
+            assert eng._passes(candidate, "n39", eng.processed_count) is exact(eng, candidate)
+
+    @pytest.mark.parametrize(
+        "vector, intensities",
+        [
+            (EmotionVector.unit(EmotionKind.ANGER), (0.5, 0.8, 0.3)),
+            (EmotionVector((0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)), (0.64, 0.56, 0.73)),
+        ],
+        ids=["anger-only", "fixed-mix"],
+    )
+    def test_exact_tie_reaches_the_exact_test(self, vector, intensities):
+        eng, candidate = TestRetestScreen.tie_engine(vector, intensities)
+        assert certified(eng, candidate) is None
+        assert eng._passes(candidate, "n0", eng.processed_count)
+
+    def test_first_reply_moves_max_replies_from_zero(self):
+        # the only row gains the first reply, and the maximum weight moves
+        # from 1 to 1 + damping
+        eng = built_engine([make_comment("r", None, 0.0, EmotionKind.JOY, 0.1)])
+        assert eng.graph._max_replies == 0
+        self.assert_decides_both_ways(eng, "r")
+
+    def test_parent_becomes_the_max_reply_holder(self):
+        # "a0" holds 2 replies, as many as the root; a third makes it the
+        # only holder of the maximum, which moves from 2 to 3
+        kinds = [EmotionKind.ANGER, EmotionKind.TRUST, EmotionKind.ANGER, EmotionKind.FEAR]
+        tree = [make_comment("r", None, 0.0, EmotionKind.JOY, 0.6)]
+        for i, parent in enumerate(["r", "r", "a0", "a0"]):
+            tree.append(make_comment(f"a{i}", parent, 1.0 + i, kinds[i], 0.4))
+        eng = built_engine(tree)
+        assert eng.graph._max_replies == 2
+        candidate = make_comment("c", "a0", 9.0, EmotionKind.ANGER, 1.0)
+        assert eng._certify(candidate, "a0", eng.processed_count)[1][3] == 3
+        self.assert_decides_both_ways(eng, "a0")
+
+    def test_zero_total_window_reaches_the_exact_test(self):
+        tree = [make_comment("r", None, 0.0)] + [
+            make_comment(f"n{i}", "r", float(i), None) for i in range(1, 4)
+        ]
+        eng = built_engine(tree)
+        assert eng._window().total == 0.0
+        candidate = make_comment("c", "n1", 9.0, EmotionKind.ANGER, 0.7)
+        assert certified(eng, candidate) is None
+        assert eng._window().cert == ()
+        assert eng._passes(candidate, "n1", eng.processed_count) is exact(eng, candidate)
+
+    def test_subnormal_board_reaches_the_exact_test(self):
+        eng, candidate = TestRetestScreen.subnormal_engine()
+        assert certified(eng, candidate) is None
+        assert exact(eng, candidate)
+        assert eng._passes(candidate, "n0", eng.processed_count)
+
+    def test_certificate_decides_most_storm_tests(self, lexicon, emoji_lexicon):
+        # every exact test of one storm conversation, at submit, in passes
+        # and at finalize; 811 of its 815 exact tests are decided
+        records, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig(), 400)
+        eng = Engine()
+        tally = {"tests": 0, "decided": 0}
+        certify = eng._certify
+
+        def audited(comment, parent_id, processed):
+            verdict, patch = certify(comment, parent_id, processed)
+            tally["tests"] += 1
+            if verdict is not None:
+                tally["decided"] += 1
+                assert verdict is eng._exact_passes(comment, parent_id, processed)
+            return verdict, patch
+
+        eng._certify = audited
+        replay(eng, records, classified)
+        assert tally["tests"] > 700
+        assert tally["decided"] >= 0.8 * tally["tests"]
 
 
 class _PassRuleEngine(Engine):
