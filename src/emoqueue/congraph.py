@@ -598,17 +598,18 @@ def _hypothetical_mass_totals(
 def _window_term_sums(
     graph: ConversationGraph, weights: InfluenceWeights, start: int, weight_arr: np.ndarray
 ) -> np.ndarray:
-    """Emotion sums of the four influence terms over rows ``[start, n)``, whose
+    """Emotion sums of the influence terms over rows ``[start, n)``, whose
     PageRank weights are ``weight_arr``.
 
-    Rows of the (4, 8) result: the two ``_row_terms``, PageRank weight and
-    log reply count, each times the row's vector; the last two before their
-    mixing weights and the maxima scale them.
+    Rows of the (3, 8) result: the sum of the two ``_row_terms``, the
+    PageRank weight and the log reply count, each times the row's vector;
+    the last two before their mixing weights and the maxima scale them.
     """
     sl = slice(start, graph._n)
     int_term, depth_term = _static_terms(graph, weights, sl)
-    terms = np.array((int_term, weight_arr, depth_term, graph._log_replies[sl]))
-    return terms @ graph._vectors[sl]
+    terms = np.array((int_term + depth_term, weight_arr, graph._log_replies[sl]))
+    # np.dot: less call overhead than @ on operands this small
+    return np.dot(terms, graph._vectors[sl])
 
 
 def hypothetical_board(

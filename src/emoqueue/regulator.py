@@ -74,21 +74,21 @@ times an entry was screened or tested; a parked entry is neither.
 Re-test screen. Every admission re-tests the held entries, and nearly all
 of them stay held. Influence is linear in its four terms and every summand
 is non-negative (vectors in [0, 1], mixing weights >= 0, PageRank weights
->= 1, log reply counts >= 0). So the screen reads the four per-emotion term
-sums over the hypothetical window ``[max(0, n+1-W), n)``, one
-(4 x rows) @ (rows x 8) product: the two stored row terms, which the exact
-test reads too, then the PageRank weight and the log reply count before
-their mixing weights and maxima scale them. Per entry it patches in the
-ancestors' ``damping**k`` bumps inside the window, the parent's new
-log-reply term, the new maximum weight and reply count, and the
-candidate's own mass, as ``congraph._admission_patches`` and
+>= 1, log reply counts >= 0). So per graph state the engine reads three
+per-emotion term sums over the hypothetical window ``[max(0, n+1-W), n)``
+(``Engine._term_sums``), one (3 x rows) @ (rows x 8) product: the sum of
+the two stored row terms, which the exact test reads too, then the PageRank
+weight and the log reply count before their mixing weights and maxima scale
+them. Per
+entry the screen patches in the ancestors' ``damping**k`` bumps inside the
+window, the parent's new log-reply term, the new maximum weight and reply
+count, and the candidate's own mass, as ``congraph._admission_patches`` and
 ``congraph._candidate_influence`` state them for the exact test; only the
 summation order differs. ``requeue_scan`` and ``finalize`` reject an entry
 when, for some governed emotion, the mass exceeds
 ``(1 + tau) * max(eff_e / 100, c_e / T_cur)`` of the total, that is, fails
-both inequalities by the factor ``1 + tau``, with
-``tau = 8 * (rows + 16) * u`` and ``u = 2**-53``; any other entry gets the
-exact test, so every decision is the exact path's.
+both inequalities by the factor ``1 + tau`` (the bound below); any other
+entry gets the exact test, so every decision is the exact path's.
 
 A published comment's ancestor chain (``congraph._ancestor_chain``) never
 changes, so the engine builds it once, when the exact test or the screen
@@ -105,65 +105,49 @@ and in a storm's release cascades it usually passes too. After it, a pass
 screens the rest of the state at once if ``_SCREEN_BATCH_MIN`` or more
 entries are left, and sends each to the exact test otherwise.
 
-The bound. Each mass or total the screen or the exact test compares is a
-sum of non-negative products of at most four rounded factors. Summing k
-non-negative terms in any order loses at most ``(k - 1) * u`` relative, so
-both land within ``gamma = (rows + 16) * u / (1 - (rows + 16) * u)``
-of the same real value; 16 covers the products' roundings, the patches and
-the eight-term total. The two sides of one inequality can thus differ
-between the two by about ``4 * gamma``, plus five roundings in the
-comparisons themselves, which ``tau`` exceeds. A screen rejection therefore
-implies an exact rejection, while an exact tie (hypothetical share equal to
-the current one) always falls inside the slack and goes to the exact test.
-The bound is relative and fails under gradual underflow, so the screen
-rejects only when ``m_e > 2**-900 / T_cur``.
-
 Certificate. Every exact test (``_passes``: at submit, in a pass, at
-finalize) first tries to decide from bounds on the board the candidate
-would make, and computes that board in full (``_exact_passes``) only where
-the bounds do not decide. Per graph state (``_certificate``, built on its
-first call) it reads the base ``b_e``: the current masses less the row
-``n - W`` that leaves a full window. Per candidate, from the parent's
-``congraph._admission_patch`` (which the exact test then reuses), it adds
-``a_e``, what the admission adds at the new PageRank coefficient
-``pagerank / max_w'``: the candidate's own mass, the parent's new log reply
-count and the in-window ancestors' ``damping**k`` bumps. New maxima only
-shrink the base, its PageRank terms by at most ``rho_w = max_w / max_w'``
-and its reply terms by at most ``rho_r = log2(1 + max_r) / log2(1 +
-max_r')``, and every term is non-negative, so the mass lies in
-``[rho * b_e + a_e, b_e + a_e]`` with ``rho = min(rho_w, rho_r)``, and the
-total likewise. Where that does not decide and ``max_w`` moved, the bounds
-split the base into its PageRank part ``c_w * B_e`` (``B_e`` sums PageRank
-weight times vector over the window, ``c_w = pagerank / max_w``; built once
-per state, ``_ranked``) and the rest ``R_e``: the mass then lies in
-``[rho_r * R_e + rho_w * c_w * B_e + a_e, R_e + rho_w * c_w * B_e + a_e]``.
-A pass is certified where ``_clears``, the exact test's comparisons, holds
-for the upper masses against the lower total; a fail where it fails for
-the lower masses against the upper total and the lower total is positive.
-Rounding is monotone, so the exact test's comparisons of its own masses
-then give the same verdict. Each bound is widened by
-``err = tau * S + 2**-900``, ``tau`` as above with ``rows = min(n, W)``,
-where ``S`` is the current total plus the leaving row plus the adds' total
-(plus the PageRank part, where it is split off). The error terms are
-absolute, scaled by ``S`` and not by the bound, because the base and the
-rest are differences that can cancel. Why ``tau`` covers them, with
-``gamma_k = k * u / (1 - k * u)``: the exact path's masses and total lie
-within ``gamma`` (above) of their real values, which lie between the real
-bounds, so at most ``gamma * S`` beyond them; each computed bound lies
-within ``gamma_(rows+21) * S`` of its real bound (the current masses' and
-total's ``gamma_(rows+12)``, the ``rows``-term PageRank sums, under ten
-roundings for the leaving row, the coefficients, ``rho``, the adds and the
-subtractions, and seven for the eight-term sums); so the two differ by
-less than ``2 * gamma_(rows+21) * S``, about ``(2 * rows + 42) * u * S``,
-and ``tau * S = 8 * (rows + 16) * u * S`` exceeds that with room for the
-widening's own two roundings (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., ch. 3-4). Under gradual underflow an operation loses
-up to ``2**-1075`` absolute, far less than the ``2**-900`` term over any
-feasible count of operations. The bounds never decide an exact tie (a
-single-emotion board) or a board below the ``2**-900`` floor, and a zero
-current total builds no certificate: those go to the exact test. So does a
-candidate with more than ``_CERTIFY_MAX_BUMPS`` ancestors in the window,
-where the exact test costs less than the certificate's sums.
+finalize) first runs the screen's arithmetic for its one candidate, in
+Python floats on the term sums' governed entries and totals, and computes
+the board in full (``_exact_passes``) only where that does not decide. From
+the parent's ``congraph._admission_patch``, which the exact test then
+reuses, each mass and the total is ``base + c_w' * (W + sum_k delta_k *
+v_k) + c_r' * (R + step * v_parent) + own * v``, at the new coefficients
+``c_w' = pagerank / max_w'`` and ``c_r' = replies / log2(1 + max_r')``. A
+pass is certified where ``_clears``, the exact test's comparisons, holds
+for the masses times ``1 + tau`` plus ``2**-900`` against the total times
+``1 - tau`` less ``2**-900``; a fail where it fails the other way round and
+that lower total is positive. A candidate with more than
+``_CERTIFY_MAX_BUMPS`` ancestors in the window goes straight to the exact
+test, which then costs less than the certificate's Python sums.
+
+The bound. The exact test, the screen and the certificate sum the same
+non-negative real terms from the same rounded factors, in different orders,
+so their errors are relative (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 3-4): a summand that passes through ``k``
+roundings lands within ``gamma_k = k * u / (1 - k * u)`` of its real value,
+``u = 2**-53``. With ``rows = n - start`` old rows, the screen's PageRank
+sum adds its chain prefix, up to one bump per in-window ancestor, to the
+rows' weights: at most ``2 * rows`` terms. 16 more roundings cover the
+products, the patches, the coefficients, the parts and the eight-entry
+total, so every mass and total of the three lies within
+``gamma = gamma_(2 * rows + 16)`` of one real value. With
+``tau = 8 * (rows + 16) * u``:
+
+* the screen's ratio of mass to total matches the exact test's within a
+  factor ``1 + 4 * gamma`` or so; with the limits' and comparisons' seven
+  roundings, the exact test fails both inequalities wherever the screen
+  rejects, since ``tau`` exceeds ``4 * gamma + 7 * u``, about
+  ``(8 * rows + 71) * u``;
+* rounding is monotone, so the certificate's verdicts are the exact test's
+  wherever each upper mass and total is at least the exact test's and each
+  lower at most: the factors ``1 +- tau`` and their three roundings cover
+  ``2 * gamma + 3 * u``, about ``(4 * rows + 35) * u``.
+
+An exact tie (hypothetical share equal to the current one) falls inside
+both slacks and goes to the exact test. Under gradual underflow an
+operation loses up to ``2**-1075`` absolute, far less than ``2**-900`` over
+any feasible count of operations: the certificate widens every bound by
+``2**-900``, and the screen rejects only when ``m_e > 2**-900 / T_cur``.
 """
 
 from __future__ import annotations
@@ -197,15 +181,18 @@ POSITIVE_EMOTIONS: frozenset[EmotionKind] = frozenset(
 _GOVERNED_COLS = np.array([EMOTION_INDEX[e] for e in GOVERNED_EMOTIONS])
 # a vector's governed entries, in GOVERNED_EMOTIONS order
 _GOVERNED_OF = itemgetter(*_GOVERNED_COLS.tolist())
+# (8, 5): a row of 8 entries @ _GOVERNED_TOTAL is its governed entries and sum
+_GOVERNED_TOTAL = np.zeros((8, 5))
+_GOVERNED_TOTAL[_GOVERNED_COLS, range(4)] = 1.0
+_GOVERNED_TOTAL[:, 4] = 1.0
 
 ACTIVITY_RING = 20
 DEFAULT_ACTIVITY_CUTOFF = 60.0
 DEFAULT_RHO = 0.5
 
-# the re-test screen's slack is 1 + _SCREEN_ULPS * (window rows + 16) * 2**-53,
-# and the certificate's _SCREEN_ULPS * (window rows + 16) * 2**-53 of its
-# scale; below _SCREEN_MIN rounding errors stop being relative (gradual
-# underflow)
+# tau, the relative slack of the re-test screen and of both sides of the
+# certificate, is _SCREEN_ULPS * (window rows + 16) * 2**-53; below
+# _SCREEN_MIN rounding errors stop being relative (gradual underflow)
 _SCREEN_ULPS = 8.0
 _SCREEN_MIN = 2.0**-900
 # after its first entry, a graph state screens the rest of the pass at once
@@ -341,12 +328,11 @@ class DecisionRow(NamedTuple):
 class _WindowState:
     """The window in one graph state, shared by every reader until the next
     admission: the window's PageRank weights, masses, board, the board
-    rounded for the decision log, and what the certificate reads of the
-    state (``Engine._certificate``, ``()`` where the current total is 0,
-    and ``Engine._ranked``), built on the certificate's first call that
-    reads it."""
+    rounded for the decision log, and the hypothetical window's term sums
+    (``Engine._term_sums``), built by the first screen or certificate that
+    reads them."""
 
-    __slots__ = ("weights", "mass", "total", "board", "logged", "cert", "ranked")
+    __slots__ = ("weights", "mass", "total", "board", "logged", "sums")
 
     def __init__(self, weights: np.ndarray, mass, total: float):
         self.weights = weights
@@ -354,8 +340,7 @@ class _WindowState:
         self.total = total
         self.board: EmotionBoard | None = None
         self.logged: tuple[float, ...] | None = None
-        self.cert: tuple | None = None
-        self.ranked: tuple | None = None
+        self.sums: tuple | None = None
 
 
 def _may_hold(comment: ClassifiedComment) -> bool:
@@ -383,19 +368,6 @@ def _row_sums(graph: ConversationGraph, rows, step: float, coef_w: float) -> tup
         s3 += coef * v3
         s4 += coef * sum(vec)
     return s0, s1, s2, s3, s4
-
-
-def _bounded_verdict(eff, upper, lower, cur_masses, cur_total: float) -> bool | None:
-    """The exact test's verdict from upper and lower bounds of the governed
-    masses and total (the total last) a candidate would make, where they
-    decide it, else None: a pass where ``_clears`` holds for the upper
-    masses against the lower total, a fail where it fails for the lower
-    masses against the upper total and the lower total is positive."""
-    if _clears(eff, upper, lower[4], cur_masses, cur_total):
-        return True
-    if lower[4] > 0.0 and not _clears(eff, lower, upper[4], cur_masses, cur_total):
-        return False
-    return None
 
 
 def _clears(eff, masses, total: float, cur_masses, cur_total: float) -> bool:
@@ -797,144 +769,89 @@ class Engine:
             state.total,
         )
 
-    def _certificate(self, state: _WindowState) -> tuple:
-        """What the certificate reads of one graph state, per governed
-        emotion and then for the total: the current masses, and those of
-        the hypothetical window's old rows now (the base: the current masses
-        less the row that leaves the window). Then the scale of the base's
-        rounding error (the current total plus the leaving row), the
-        PageRank coefficient, the log of the maximum reply count and the
-        slack. ``()`` where the current total is 0."""
-        cur_total = state.total
-        if not cur_total > 0.0:
-            return ()
-        graph = self.graph
-        assert graph is not None
-        weights = self.weights
-        n = len(graph)
-        cur = _GOVERNED_OF(state.mass.tolist()) + (cur_total,)
-        base, scale = cur, cur_total
-        if n >= self.window_size:
-            # the hypothetical window drops row n - W; the graph stores the
-            # row terms of the engine's own weights
-            row = n - self.window_size
-            infl = congraph._influence(
-                weights, graph._int_term.item(row), graph._weight[row],
-                graph._depth_term.item(row), graph._log_replies.item(row),
-                graph._max_weight, graph._max_replies,
-            )
-            vec = graph._comments[row].vector
-            leaving = (*[infl * v for v in _GOVERNED_OF(vec)], infl * sum(vec))
-            base = [c - x for c, x in zip(cur, leaving)]
-            scale += leaving[4]
-        return (
-            cur[:4],
-            cur_total,
-            base,
-            scale,
-            weights.pagerank / graph._max_weight,
-            math.log2(1.0 + graph._max_replies),
-            _SCREEN_ULPS * (min(n, self.window_size) + 16) * 2.0**-53,
-        )
-
-    def _ranked(self, state: _WindowState) -> tuple:
-        """The hypothetical window's old rows' sums of PageRank weight times
-        vector, governed entries then row sum, built on first use."""
-        if state.ranked is None:
+    def _term_sums(self, state: _WindowState) -> tuple:
+        """The hypothetical window's term sums in one graph state, built on
+        first use: its start and ``tau``; the (3, 8) ``_window_term_sums``
+        (the row terms, the PageRank weight, the log reply count); their
+        governed entries and totals, as three lists of five; and the current
+        governed masses."""
+        if state.sums is None:
             graph = self.graph
+            assert graph is not None
             n = len(graph)
-            sums = (
-                self._hypothetical_weights(state)
-                @ graph._vectors[max(0, n + 1 - self.window_size) : n]
-            ).tolist()
-            state.ranked = (*_GOVERNED_OF(sums), sum(sums))
-        return state.ranked
+            start = max(0, n + 1 - self.window_size)
+            terms = congraph._window_term_sums(
+                graph, self.weights, start, self._hypothetical_weights(state)
+            )
+            state.sums = (
+                start,
+                _SCREEN_ULPS * (n - start + 16) * 2.0**-53,
+                terms,
+                *np.dot(terms, _GOVERNED_TOTAL).tolist(),
+                _GOVERNED_OF(state.mass.tolist()),
+            )
+        return state.sums
 
     def _certify(
         self, comment: ClassifiedComment, parent_id: str, processed: int
     ) -> tuple[bool | None, tuple]:
-        """The certificate: the exact test's verdict where bounds on the
-        board the candidate would make decide it (``_bounded_verdict``),
-        else None, and the parent's ``_admission_patch``."""
+        """The certificate: the exact test's verdict where the screen's
+        arithmetic for this one candidate, widened by ``1 +- tau``, decides
+        it, else None; and the parent's ``_admission_patch``."""
         graph = self.graph
         assert graph is not None
-        state = self._window()
         parent_idx = graph._index[parent_id]
         start = max(0, len(graph) + 1 - self.window_size)
         patch = congraph._admission_patch(graph, parent_idx, start, self._ancestry(parent_idx))
         bumps, max_weight, parent_replies, max_replies = patch
         if len(bumps) > _CERTIFY_MAX_BUMPS:
             return None, patch
-        if state.cert is None:
-            state.cert = self._certificate(state)
-        if not state.cert:
-            return None, patch
-        cur, cur_total, base, scale, coef_w, log_max_r, slack = state.cert
+        state = self._window()
+        _, tau, _, base, ranked, replied, cur = self._term_sums(state)
         weights = self.weights
-        # what the admission adds, at the new PageRank coefficient: the
-        # candidate's own mass, the parent's new log reply count and the
-        # in-window ancestors' damping**k bumps
-        new_coef_w = weights.pagerank / max_weight
+        coef_w = weights.pagerank / max_weight
+        coef_r = weights.replies / math.log2(1.0 + max_replies)
+        # what the admission adds to the old rows' terms at the new
+        # coefficients: the candidate's own mass, then the parent's reply
+        # step and the in-window ancestors' damping**k bumps
         int_term, depth_term = congraph._row_terms(
             weights, comment.intensity, graph._depth.item(parent_idx) + 1.0
         )
-        own = int_term + new_coef_w + depth_term
+        own = int_term + coef_w + depth_term
         vec = comment.vector
         adds = [own * v for v in (*_GOVERNED_OF(vec), sum(vec))]
-        log_r = log_max_r
-        if max_replies != graph._max_replies:
-            log_r = math.log2(1.0 + max_replies)
         if parent_idx >= start:
-            step = (math.log2(1.0 + parent_replies) - graph._log_replies.item(parent_idx)) * (
-                weights.replies / log_r
-            )
-            rows = _row_sums(graph, bumps or (parent_idx,), step, new_coef_w)
+            step = (math.log2(1.0 + parent_replies) - graph._log_replies.item(parent_idx)) * coef_r
+            rows = _row_sums(graph, bumps or (parent_idx,), step, coef_w)
             adds = [a + r for a, r in zip(adds, rows)]
-        # new maxima only shrink the base: by at most rho_w in its PageRank
-        # part and rho_r in the rest
-        rho_w = graph._max_weight / max_weight
-        rho_r = log_max_r / log_r if graph._max_replies else 1.0
-        err = slack * (scale + adds[4]) + _SCREEN_MIN
-        upper = [b + a + err for b, a in zip(base, adds)]
-        rho = min(rho_w, rho_r)
-        lower = [rho * b + a - err for b, a in zip(base, adds)]
-        eff = self._effective_tuple(processed)
-        verdict = _bounded_verdict(eff, upper, lower, cur, cur_total)
-        if verdict is not None or rho_w == 1.0:
-            return verdict, patch
-        # split off the base's PageRank part, which shrinks by rho_w
-        ranked = self._ranked(state)
-        err += slack * coef_w * ranked[4]
-        upper, lower = [], []
-        for b, w, a in zip(base, ranked, adds):
-            rest = b - coef_w * w
-            moved = new_coef_w * w + a
-            upper.append(rest + moved + err)
-            lower.append(rho_r * rest + moved - err)
-        return _bounded_verdict(eff, upper, lower, cur, cur_total), patch
+        masses = [
+            b + coef_w * w + coef_r * r + a for b, w, r, a in zip(base, ranked, replied, adds)
+        ]
+        hi, lo = 1.0 + tau, 1.0 - tau
+        upper = [m * hi + _SCREEN_MIN for m in masses]
+        eff, cur_total = self._effective_tuple(processed), state.total
+        if _clears(eff, upper, masses[4] * lo - _SCREEN_MIN, cur, cur_total):
+            return True, patch
+        lower = [m * lo - _SCREEN_MIN for m in masses]
+        if lower[4] > 0.0 and not _clears(eff, lower, upper[4], cur, cur_total):
+            return False, patch
+        return None, patch
 
     def _screen_inputs(self, state: _WindowState) -> tuple:
         """What the screen reads of one graph state and the thresholds now:
-        the hypothetical window's start and term sums; per governed emotion,
-        the share of the total a mass must pass to fail both inequalities by
-        the slack, ``slack * max(eff_e / 100, c_e / T_cur)``; and the floor
-        ``2**-900 / T_cur`` under which the screen fails nothing."""
-        graph = self.graph
-        assert graph is not None
-        n = len(graph)
-        start = max(0, n + 1 - self.window_size)
-        sums = congraph._window_term_sums(
-            graph, self.weights, start, self._hypothetical_weights(state)
-        )
-        slack = 1.0 + _SCREEN_ULPS * (n - start + 16) * 2.0**-53
+        the hypothetical window's start and term sums (``_term_sums``); per
+        governed emotion, the share of the total a mass must pass to fail
+        both inequalities by the slack, ``(1 + tau) * max(eff_e / 100,
+        c_e / T_cur)``; and the floor ``2**-900 / T_cur`` under which the
+        screen fails nothing."""
+        start, tau, sums, *_, cur = self._term_sums(state)
+        slack = 1.0 + tau
         cur_total = state.total
         limits = [
-            slack * max(e / 100.0, cur / cur_total)
-            for e, cur in zip(
-                self._effective_tuple(self.processed_count), _GOVERNED_OF(state.mass.tolist())
-            )
+            slack * max(e / 100.0, c / cur_total)
+            for e, c in zip(self._effective_tuple(self.processed_count), cur)
         ]
-        return start, sums[0] + sums[2], sums[1], sums[3], limits, _SCREEN_MIN / cur_total
+        return start, *sums, limits, _SCREEN_MIN / cur_total
 
     def _ancestry(self, parent_idx: int) -> tuple[int, ...]:
         """The ``congraph._ancestor_chain`` of the published comment in row

@@ -17,6 +17,9 @@ from emoqueue.emolex import load_emoji_lexicon, load_lexicon
 # prints the blob that replays it; deadline=None because shared CI cores make
 # single examples slow
 settings.register_profile("ci", print_blob=True, deadline=None)
+# a deeper run of the properties that take their example budget from the
+# profile (the screen's and the certificate's bounds: 300 by default)
+settings.register_profile("thorough", print_blob=True, deadline=None, max_examples=3000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from emoqueue import congraph, harness
 from emoqueue.congraph import InfluenceWeights, StructuralError
-from emoqueue.emolex import EmotionKind, EmotionVector
+from emoqueue.emolex import EMOTION_INDEX, EmotionKind, EmotionVector
 from emoqueue.harness import (
     DEFAULT_MIXTURE,
     SimulationConfig,
@@ -71,10 +71,10 @@ def intensity_engine(**kwargs) -> Engine:
     return Engine(**kwargs)
 
 
-def storm_conversation(seed, lexicon, emoji_lexicon, config, comments=200):
-    """One classified conversation at troll rate 0.6."""
+def storm_conversation(seed, lexicon, emoji_lexicon, config, comments=200, troll_rate=0.6):
+    """One classified conversation, at troll rate 0.6 unless given."""
     spec = SyntheticSpec(
-        conversations=1, comments_per_conversation=comments, troll_rate=0.6
+        conversations=1, comments_per_conversation=comments, troll_rate=troll_rate
     )
     records = generate_synthetic(spec, seed)
     classified = [
@@ -973,6 +973,39 @@ def screened_cases(draw):
     return comments[:n], comments[n:], weights, window, thresholds, active
 
 
+@st.composite
+def boundary_cases(draw):
+    """A ``screened_cases`` case whose effective threshold for each governed
+    emotion is the first candidate's exact hypothetical share of it, moved
+    by -4 to +4 ulps (no relax, tighten or decay; floor = base = ceiling).
+    Emotions the candidate's board holds none of keep their defaults."""
+    tree, candidates, weights, window, _, active = draw(screened_cases())
+    graph = built_engine(tree, weights=weights, window_size=window).graph
+    candidate = candidates[0]
+    mass, total = congraph._hypothetical_mass_totals(
+        graph, window, weights, candidate, candidate.parent_id
+    )
+    exact_shares = {}
+    for e in GOVERNED_EMOTIONS:
+        share = 100.0 * mass.item(EMOTION_INDEX[e]) / total if total > 0.0 else 0.0
+        ulps = draw(st.integers(min_value=-4, max_value=4))
+        for _ in range(abs(ulps)):
+            share = math.nextafter(share, math.copysign(math.inf, ulps))
+        if 0.0 < share <= 100.0:
+            exact_shares[e] = share
+    thresholds = ThresholdConfig(
+        base=exact_shares, floor=exact_shares, ceiling=exact_shares,
+        active_relax=0.0, quiet_tighten=0.0, decay_gamma=0.0,
+    )
+    return tree, candidates, weights, window, thresholds, active
+
+
+# the cases of the two bound properties, and their example budget: 300, or
+# the hypothesis profile's where it asks for more (thorough: 3,000)
+bound_cases = st.one_of(screened_cases(), boundary_cases())
+_BOUND_EXAMPLES = max(300, settings().max_examples)
+
+
 def screen_rejections(eng: Engine, candidates) -> dict[str, list[bool]]:
     """Whether the screen rejects held entries for ``candidates`` in
     ``eng``'s graph state, per path: a one-entry batch of each, and one
@@ -1010,8 +1043,8 @@ def watch_screens(eng: Engine, batched) -> None:
 class TestRetestScreen:
     """The screen only ever rejects what the exact test rejects."""
 
-    @given(screened_cases())
-    @settings(max_examples=300, deadline=None)
+    @given(bound_cases)
+    @settings(max_examples=_BOUND_EXAMPLES, deadline=None)
     def test_screen_rejection_implies_exact_rejection(self, case):
         tree, candidates, weights, window, thresholds, active = case
         eng = Engine(
@@ -1198,8 +1231,9 @@ def boundary_case(rows, window: int, base: float) -> tuple:
 _MIX = (0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 # near-boundary cases found by random search against mutated certificates,
 # which certify a pass where the exact test fails: without the slack, the
-# first (an exact tie, which the exact test fails by rounding); with rho = 1,
-# the second (the root's second reply moves the maximum reply count)
+# first (an exact tie, which the exact test fails by rounding); ignoring the
+# moved maximum, the second (the root's second reply moves the maximum reply
+# count)
 _ROUNDED_TIE = boundary_case(
     [(None, 0.7398847975375811, _MIX), ("n0", 0.43566122428286946, _MIX)],
     26, 30.187183372173884,
@@ -1218,10 +1252,10 @@ class TestCertificate:
     """Wherever the certificate decides an exact test, it decides it as the
     exact test does."""
 
-    @given(screened_cases())
+    @given(bound_cases)
     @example(_ROUNDED_TIE)
     @example(_MAX_REPLIES_MOVES)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_BOUND_EXAMPLES, deadline=None)
     def test_certified_verdict_is_the_exact_verdict(self, case):
         tree, candidates, weights, window, thresholds, active = case
         eng = built_engine(tree, weights=weights, window_size=window, thresholds=thresholds)
@@ -1252,22 +1286,19 @@ class TestCertificate:
         assert certified(eng, furious) is exact(eng, furious) is False
         assert certified(eng, mild) is exact(eng, mild) is True
 
-    @staticmethod
-    def keeps_every_row(eng) -> bool:
-        """Whether the certificate's base is the current board, with no row
-        leaving the window."""
-        cur, cur_total, base = eng._certificate(eng._window())[:3]
-        return list(base) == [*cur, cur_total]
-
     def test_window_not_full(self):
+        # the hypothetical window keeps every row
         eng = built_engine(self.angry_tree(12), window_size=50)
-        assert self.keeps_every_row(eng)
+        assert len(eng.graph) + 1 < eng.window_size
         self.assert_decides_both_ways(eng, "n5")
 
     def test_full_window_drops_its_first_row(self):
+        # row n30 leaves the hypothetical window: a child of it bumps no row
+        # there and moves no reply count there; a child of n34 does both
         eng = built_engine(self.angry_tree(40), window_size=10)
-        assert not self.keeps_every_row(eng)
+        assert eng.graph._index["n30"] == len(eng.graph) - eng.window_size
         self.assert_decides_both_ways(eng, "n30")
+        self.assert_decides_both_ways(eng, "n34")
 
     @pytest.mark.parametrize("window", [_CERTIFY_MAX_BUMPS + 1, _CERTIFY_MAX_BUMPS + 2])
     def test_long_chain_in_the_window(self, window):
@@ -1317,16 +1348,19 @@ class TestCertificate:
         assert eng._certify(candidate, "a0", eng.processed_count)[1][3] == 3
         self.assert_decides_both_ways(eng, "a0")
 
-    def test_zero_total_window_reaches_the_exact_test(self):
+    def test_zero_total_window_decides_both_ways(self):
+        # nothing in the window carries emotion, so the candidate's own mass
+        # is the whole board it would make: all anger fails, a fifth passes
         tree = [make_comment("r", None, 0.0)] + [
             make_comment(f"n{i}", "r", float(i), None) for i in range(1, 4)
         ]
         eng = built_engine(tree)
         assert eng._window().total == 0.0
-        candidate = make_comment("c", "n1", 9.0, EmotionKind.ANGER, 0.7)
-        assert certified(eng, candidate) is None
-        assert eng._window().cert == ()
-        assert eng._passes(candidate, "n1", eng.processed_count) is exact(eng, candidate)
+        furious = make_comment("x", "n1", 9.0, EmotionKind.ANGER, 0.7)
+        mixed = EmotionVector.from_dict({"anger": 0.2, "joy": 0.8})
+        mild = make_comment("y", "n1", 9.0, EmotionKind.ANGER, 0.7, vector=mixed)
+        assert certified(eng, furious) is exact(eng, furious) is False
+        assert certified(eng, mild) is exact(eng, mild) is True
 
     def test_subnormal_board_reaches_the_exact_test(self):
         eng, candidate = TestRetestScreen.subnormal_engine()
@@ -1334,10 +1368,11 @@ class TestCertificate:
         assert exact(eng, candidate)
         assert eng._passes(candidate, "n0", eng.processed_count)
 
-    def test_certificate_decides_most_storm_tests(self, lexicon, emoji_lexicon):
-        # every exact test of one storm conversation, at submit, in passes
-        # and at finalize; 811 of its 815 exact tests are decided
-        records, classified = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig(), 400)
+    @staticmethod
+    def certified_count(records, classified) -> tuple[int, int]:
+        """How many of one conversation's exact tests, at submit, in passes
+        and at finalize, the certificate decides, each as ``_exact_passes``
+        does, and how many there are."""
         eng = Engine()
         tally = {"tests": 0, "decided": 0}
         certify = eng._certify
@@ -1352,8 +1387,23 @@ class TestCertificate:
 
         eng._certify = audited
         replay(eng, records, classified)
-        assert tally["tests"] > 700
-        assert tally["decided"] >= 0.8 * tally["tests"]
+        return tally["decided"], tally["tests"]
+
+    def test_certificate_decides_most_storm_tests(self, lexicon, emoji_lexicon):
+        # all 815 exact tests of this storm conversation are decided
+        conversation = storm_conversation(3, lexicon, emoji_lexicon, SimulationConfig(), 400)
+        decided, tests = self.certified_count(*conversation)
+        assert tests > 700
+        assert decided >= 0.8 * tests
+
+    def test_certificate_decides_calibrated_tests(self, lexicon, emoji_lexicon):
+        # one conversation of the calibrated shape (200 comments, troll rate
+        # 0.15): all 121 of its exact tests are decided
+        config = SimulationConfig()
+        conversation = storm_conversation(4, lexicon, emoji_lexicon, config, troll_rate=0.15)
+        decided, tests = self.certified_count(*conversation)
+        assert tests > 100
+        assert decided >= 0.99 * tests
 
 
 class _PassRuleEngine(Engine):
